@@ -24,7 +24,15 @@ root):
   vs wrapped in the serve layer's ``span("multiply.kernel", ...)``
   with no trace active (the no-op-span fast path every untraced
   request takes).  ``--check-baseline`` fails when the overhead
-  reaches 5 %.
+  reaches 5 %;
+- **rans** — microseconds per symbol of the ``re_ans`` entropy coder
+  on fixed streams of three lengths (:data:`RANS_STREAMS`; the length
+  of ``C`` sets the lane count and so the decode's step count): the
+  array-LEB128 header parse, the interleaved-lane payload decode, the
+  single-state payload decode of the same symbols (the layout older
+  files hold), and ``ans_compress``.  ``--check-baseline`` fails
+  unless the laned decode beats the single-state one by
+  :data:`RANS_MIN_SPEEDUP` on every stream.
 
 Run as a script::
 
@@ -69,6 +77,16 @@ SCHEMA = "bench_hotpaths/v1"
 #: keeps the same shape at CI-smoke size.
 COLD_START_FULL = (24, 1000, 1500)
 COLD_START_QUICK = (6, 150, 200)
+
+#: The rans section's stream lengths, the same in quick and full mode.
+#: Each stream draws its symbols uniformly from as many sparse ids
+#: (seed :data:`RANS_SEED`), so that, as in a RePair final string, most
+#: symbols occur once or twice.  500 and 2000 symbols stand for short
+#: final strings (small matrices, blocks, many-shard containers: 32 and
+#: 64 lanes of 16 and 32 steps); 8192 for a long one (64 lanes of 128
+#: steps, 13-bit quantisation).
+RANS_STREAMS = (500, 2000, 8192)
+RANS_SEED = 3
 
 
 def _time_once(fn) -> tuple[float, object]:
@@ -247,8 +265,69 @@ def bench_obs_overhead(grammar, values, shape, iters: int) -> dict:
     }
 
 
+def bench_rans(repeats: int) -> dict:
+    """Per-symbol cost of each half of an ``re_ans`` decode, and of encode.
+
+    For every stream of :data:`RANS_STREAMS`, every case runs once per
+    round, rounds interleaved, and each keeps its fastest round (as in
+    :func:`bench_obs_overhead`).  Shorter streams run proportionally
+    more rounds, so that every stream's rounds span about the same
+    time and one slow spell of the machine cannot cover all of them.
+    Decoder construction (the slot tables) counts towards its decode,
+    as it does inside ``ans_decompress``.
+    """
+    streams = [_bench_rans_stream(n, repeats) for n in RANS_STREAMS]
+    return {"repeats": repeats, "streams": streams}
+
+
+def _bench_rans_stream(n: int, repeats: int) -> dict:
+    from repro.encoders.rans import (
+        InterleavedRansDecoder,
+        RansDecoder,
+        RansEncoder,
+        ans_compress,
+        lane_count,
+        read_ans_header,
+    )
+
+    rng = np.random.default_rng(RANS_SEED)
+    ids = np.sort(rng.choice(1 << 20, size=n, replace=False))
+    values = ids[rng.integers(0, n, size=n)]
+    blob = ans_compress(values)
+    header = read_ans_header(blob)
+    payload = blob[header.offset :]
+    dense = np.searchsorted(header.alphabet, values)
+    single = RansEncoder(header.freqs, header.scale_bits).encode(dense)
+    table = (header.freqs, header.scale_bits)
+    cases = {
+        "header": lambda: read_ans_header(blob),
+        "laned_decode": lambda: InterleavedRansDecoder(*table).decode(payload, n),
+        "single_decode": lambda: RansDecoder(*table).decode(single, n),
+        "encode": lambda: ans_compress(values),
+    }
+    rounds = repeats * max(1, max(RANS_STREAMS) // n)
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(rounds):
+        for name, fn in cases.items():
+            best[name] = min(best[name], _time_once(fn)[0])
+    assert np.array_equal(header.alphabet[cases["laned_decode"]()], values)
+    out = {
+        "symbols": n,
+        "rounds": rounds,
+        "alphabet": int(header.alphabet.size),
+        "scale_bits": header.scale_bits,
+        "lanes": lane_count(n),
+        "laned_bytes": len(blob),
+        "single_state_bytes": header.offset + len(single),
+    }
+    for name, seconds in best.items():
+        out[f"{name}_us_per_symbol"] = 1e6 * seconds / n
+    out["laned_speedup"] = best["single_decode"] / best["laned_decode"]
+    return out
+
+
 def run(profiles, warm_iters: int, cold_reps: int, cold_start=None,
-        obs_iters: int = 0) -> dict:
+        obs_iters: int = 0, rans_repeats: int = 0) -> dict:
     report = {
         "schema": SCHEMA,
         "command": " ".join(sys.argv),
@@ -312,6 +391,19 @@ def run(profiles, warm_iters: int, cold_reps: int, cold_start=None,
             f"{1e6 * obs['instrumented_warm_seconds']:.1f}us under a "
             f"no-op span ({obs['overhead_pct']:+.2f}%)"
         )
+    if rans_repeats:
+        report["rans"] = bench_rans(rans_repeats)
+        for rans in report["rans"]["streams"]:
+            print(
+                f"rans ({rans['symbols']} symbols, {rans['alphabet']} distinct, "
+                f"{rans['lanes']} lanes), us/symbol: header "
+                f"{rans['header_us_per_symbol']:.3f}, laned decode "
+                f"{rans['laned_decode_us_per_symbol']:.3f} vs single-state "
+                f"{rans['single_decode_us_per_symbol']:.3f} "
+                f"(x{rans['laned_speedup']:.1f}), encode "
+                f"{rans['encode_us_per_symbol']:.3f}; "
+                f"{rans['laned_bytes']} vs {rans['single_state_bytes']} bytes"
+            )
     return report
 
 
@@ -333,6 +425,12 @@ COLD_START_FLOOR_SECONDS = 0.05
 #: costs far more than 5us.
 OBS_OVERHEAD_LIMIT_PCT = 5.0
 OBS_OVERHEAD_FLOOR_SECONDS = 5e-6
+
+#: The rans gate is self-relative too: on each stream length the
+#: interleaved-lane decode must beat the single-state decode of the same
+#: stream by this factor (x1.4, x3.1 and x3.8 in BENCH_hotpaths.json).
+#: A 500-symbol stream is 16 steps of 32 lanes, so it need only not lose.
+RANS_MIN_SPEEDUP = {500: 1.0, 2000: 2.0, 8192: 2.0}
 
 
 def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> int:
@@ -381,6 +479,16 @@ def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> int:
                 f"({1e6 * delta:.1f}us) on the warm multiply — limit "
                 f"{OBS_OVERHEAD_LIMIT_PCT:g}%"
             )
+    for rans in report.get("rans", {}).get("streams", []):
+        need = RANS_MIN_SPEEDUP[rans["symbols"]]
+        if rans["laned_speedup"] < need:
+            failures.append(
+                f"rans ({rans['symbols']} symbols): laned decode "
+                f"{rans['laned_decode_us_per_symbol']:.3f}us/symbol is only "
+                f"x{rans['laned_speedup']:.2f} faster than single-state "
+                f"{rans['single_decode_us_per_symbol']:.3f}us/symbol — "
+                f"limit x{need:g}"
+            )
     if failures:
         print("PERF REGRESSION against", baseline_path, file=sys.stderr)
         for f in failures:
@@ -414,13 +522,13 @@ def main(argv=None) -> int:
 
     if args.quick:
         profiles, warm_iters, cold_reps = QUICK_PROFILES, 9, 3
-        cold_start, obs_iters = COLD_START_QUICK, 200
+        cold_start, obs_iters, rans_repeats = COLD_START_QUICK, 200, 21
     else:
         profiles, warm_iters, cold_reps = FULL_PROFILES, 21, 3
-        cold_start, obs_iters = COLD_START_FULL, 600
+        cold_start, obs_iters, rans_repeats = COLD_START_FULL, 600, 41
     report = run(
         profiles, warm_iters, cold_reps,
-        cold_start=cold_start, obs_iters=obs_iters,
+        cold_start=cold_start, obs_iters=obs_iters, rans_repeats=rans_repeats,
     )
 
     output = args.output

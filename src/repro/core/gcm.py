@@ -15,8 +15,9 @@ output ``(C, R, V)``:
 ``re_ans``
     ``R`` bit-packed as above; ``C`` entropy-coded with the
     large-alphabet rANS coder (:mod:`repro.encoders.rans`).  Every
-    multiplication decodes ``C`` symbol by symbol first — the paper's
-    explanation for ``re_ans`` being the smallest but slowest variant.
+    multiplication first entropy-decodes all of ``C`` (vectorised, but
+    still the costliest decode of the three) — the paper's explanation
+    for ``re_ans`` being the smallest but slowest variant.
 
 All variants store ``V`` as raw 8-byte doubles, as in the paper.
 """
@@ -69,8 +70,9 @@ class GrammarCompressedMatrix(MatrixFormat):
     c_storage, r_storage:
         Variant-specific physical storage for ``C`` and ``R``:
         ``np.ndarray[uint32]`` for ``re_32``, :class:`IntVector` for
-        ``re_iv`` (and for ``R`` of ``re_ans``), ``bytes`` for the
-        ANS-coded ``C`` of ``re_ans``.
+        ``re_iv`` (and for ``R`` of ``re_ans``), the ANS blob of ``C``
+        for ``re_ans`` (``bytes``, or a read-only ``uint8`` view after
+        an mmap load).
     """
 
     def __init__(
@@ -221,8 +223,9 @@ class GrammarCompressedMatrix(MatrixFormat):
         """Materialise the logical grammar ``(C, R)`` from storage.
 
         For ``re_32`` this is a cheap cast; for ``re_iv`` a vectorised
-        unpack; for ``re_ans`` a sequential ANS decode of ``C`` — the
-        per-multiplication cost structure of the paper's variants.
+        unpack; for ``re_ans`` a full entropy decode of ``C`` (vectorised
+        by :mod:`repro.encoders.rans`, yet the costliest of the three) —
+        the per-multiplication cost structure of the paper's variants.
         """
         if self._variant == "re_32":
             c = self._c_storage.astype(np.int64)

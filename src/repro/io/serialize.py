@@ -49,6 +49,7 @@ from repro.core.blocked import BlockedMatrix
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import GrammarCompressedMatrix
 from repro.encoders.int_vector import IntVector
+from repro.encoders.rans import ans_decompress, ans_recode
 from repro.encoders.varint import decode_uvarint, encode_uvarint
 from repro.errors import (
     EncodingError,
@@ -140,6 +141,26 @@ def zero_copy_decode() -> Iterator[None]:
         _ZERO_COPY.depth -= 1
 
 
+#: Thread-local switch for ``read_gcm``'s ``re_ans`` stream check:
+#: :func:`loads_matrix` turns it on for a blob without a CRC footer.
+_CHECK_STREAMS = threading.local()
+
+
+@contextlib.contextmanager
+def _check_streams(active: bool) -> Iterator[None]:
+    """Decode every ``re_ans`` stream once at load time while ``active``.
+
+    :func:`loads_matrix` sets it per blob, so every shard section
+    follows its own footer.
+    """
+    previous = getattr(_CHECK_STREAMS, "active", False)
+    _CHECK_STREAMS.active = active
+    try:
+        yield
+    finally:
+        _CHECK_STREAMS.active = previous
+
+
 @contextlib.contextmanager
 def _payload_guard(kind: int, action: str) -> Iterator[None]:
     """Re-raise payload decode failures as typed serialization errors."""
@@ -181,18 +202,22 @@ def loads_matrix(data: BytesLike) -> Any:
     The checksum footer (when present) is verified and stripped before
     decoding — corrupt bytes raise
     :class:`~repro.errors.IntegrityError` instead of surfacing as a
-    confusing decode failure deeper in the payload.
+    confusing decode failure deeper in the payload.  Without a footer,
+    ``re_ans`` streams are decoded once here instead, so that their
+    end-of-stream checks fail the load rather than the first multiply.
     """
     from repro import formats
 
-    data, _integrity = verify_blob(data)
+    data, integrity = verify_blob(data)
     kind, pos = _read_header(data)
     spec = formats.by_kind(kind)
     if spec.decode is None:
         raise SerializationError(
             f"format {spec.name!r} has no serialization codec"
         )
-    with _payload_guard(kind, f"decode {spec.name!r}"):
+    with _payload_guard(kind, f"decode {spec.name!r}"), _check_streams(
+        integrity == INTEGRITY_UNVERIFIED
+    ):
         matrix, _ = spec.decode(data, pos)
     return matrix
 
@@ -407,8 +432,8 @@ def gcm_payload(matrix: GrammarCompressedMatrix, include_values: bool = True) ->
     elif matrix.variant == "re_iv":
         out += _put_bytes(c_storage.to_bytes())
         out += _put_bytes(r_storage.to_bytes())
-    else:  # re_ans
-        out += _put_bytes(c_storage)
+    else:  # re_ans; a stream loaded from an older file is re-encoded
+        out += _put_bytes(ans_recode(c_storage))
         out += _put_bytes(r_storage.to_bytes())
     return bytes(out)
 
@@ -441,8 +466,20 @@ def read_gcm(
         c_storage = IntVector.from_bytes(raw_c)
         r_storage = IntVector.from_bytes(raw_r)
     else:
-        c_storage = bytes(raw_c)
         r_storage = IntVector.from_bytes(raw_r)
+        if zero_copy_active():
+            # The rANS stream stays a read-only view of the mapped region.
+            c_storage = np.frombuffer(raw_c, dtype=np.uint8)
+        else:
+            c_storage = bytes(raw_c)
+        if getattr(_CHECK_STREAMS, "active", False):
+            # No CRC footer vouches for this stream: decode it once, so
+            # a corrupt one fails the load, typed.
+            if ans_decompress(c_storage).size != c_length:
+                raise SerializationError(
+                    f"re_ans stream does not hold the {c_length} symbols "
+                    "of the header"
+                )
     matrix = GrammarCompressedMatrix(
         variant,
         shape,

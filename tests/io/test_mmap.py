@@ -8,7 +8,7 @@ from repro.core.blocked import BlockedMatrix
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import GrammarCompressedMatrix
 from repro.io.mmap_io import load_matrix_mmap, map_view, mmap_capable
-from repro.io.serialize import load_matrix, save_matrix
+from repro.io.serialize import load_matrix, save_matrix, saves_matrix
 from repro.serve.registry import MatrixRegistry
 from repro.shard import LazyShardedMatrix, build_sharded
 from tests.conftest import make_structured
@@ -81,6 +81,19 @@ class TestViewSemantics:
         assert copied._m.flags.writeable is True
         # the view chains down to a buffer, not a heap allocation
         assert mapped._m.base is not None
+
+    def test_re_ans_stream_stays_a_view_of_the_mapping(self, tmp_path, rng):
+        dense = make_structured(rng)
+        path = saved(tmp_path, dense, "re_ans")
+        mapped = load_matrix(path, mmap=True)
+        c = mapped._c_storage
+        assert isinstance(c, np.ndarray) and c.dtype == np.uint8
+        assert c.flags.writeable is False
+        assert c.base is not None  # no heap copy of the stream
+        assert isinstance(load_matrix(path)._c_storage, bytes)
+        assert np.array_equal(mapped.to_dense(), dense)
+        # the view serializes like the bytes it stands for
+        assert saves_matrix(mapped) == saves_matrix(load_matrix(path))
 
     def test_map_view_slices_are_zero_copy(self, tmp_path):
         path = tmp_path / "blob.bin"
