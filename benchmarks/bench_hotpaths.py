@@ -25,6 +25,12 @@ root):
   with no trace active (the no-op-span fast path every untraced
   request takes).  ``--check-baseline`` fails when the overhead
   reaches 5 %;
+- **panel** — warm retained-plan multiplication, right and left, at
+  ``k`` ∈ :data:`PANEL_KS` (the single-vector kernels at ``k = 1``,
+  the panel kernels beyond), against scipy CSR (the ``csr`` format)
+  on the same matrix.  ``--check-baseline`` fails when the grammar
+  kernel is slower than :data:`PANEL_MAX_VS_CSR` times CSR in the same
+  run;
 - **rans** — microseconds per symbol of the ``re_ans`` entropy coder
   on fixed streams of three lengths (:data:`RANS_STREAMS`; the length
   of ``C`` sets the lane count and so the decode's step count): the
@@ -50,6 +56,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from statistics import median
 
@@ -87,6 +94,10 @@ COLD_START_QUICK = (6, 150, 200)
 #: steps, 13-bit quantisation).
 RANS_STREAMS = (500, 2000, 8192)
 RANS_SEED = 3
+
+#: Operand widths of the panel section, and its interleaved rounds.
+PANEL_KS = (1, 64)
+PANEL_ROUNDS = 41
 
 
 def _time_once(fn) -> tuple[float, object]:
@@ -265,6 +276,57 @@ def bench_obs_overhead(grammar, values, shape, iters: int) -> dict:
     }
 
 
+def bench_panel(grammar, values, shape, dense, rounds: int) -> dict:
+    """Warm grammar MVM against scipy CSR on the same matrix.
+
+    Every case — grammar or CSR, right or left, at each ``k`` of
+    :data:`PANEL_KS` — runs once per round, rounds interleaved, and
+    keeps its fastest round (as in :func:`bench_obs_overhead`).  The
+    grammar side is the served configuration: a retained plan, so no
+    decode and no plan build.
+    """
+    from repro import formats
+
+    matrices = {
+        "grammar": GrammarCompressedMatrix.from_grammar(
+            grammar, values, shape, "re_32"
+        ),
+        "csr": formats.compress(dense, format="csr"),
+    }
+    rng = np.random.default_rng(2)
+    cases = {}
+    for k in PANEL_KS:
+        x = rng.standard_normal((shape[1], k))
+        y = rng.standard_normal((shape[0], k))
+        for label, matrix in matrices.items():
+            if k == 1:
+                right = partial(matrix.right_multiply, x[:, 0])
+                left = partial(matrix.left_multiply, y[:, 0])
+            else:
+                right = partial(matrix.right_multiply_matrix, x)
+                left = partial(matrix.left_multiply_matrix, y)
+            cases[("right", k, label)] = right
+            cases[("left", k, label)] = left
+    for (direction, k, _label), fn in cases.items():
+        expect = cases[(direction, k, "csr")]()
+        assert np.allclose(fn(), expect), (direction, k)
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(rounds):
+        for key, fn in cases.items():
+            best[key] = min(best[key], _time_once(fn)[0])
+    out = {}
+    for direction in ("right", "left"):
+        for k in PANEL_KS:
+            grammar_s = best[(direction, k, "grammar")]
+            csr_s = best[(direction, k, "csr")]
+            out[f"{direction}_k{k}"] = {
+                "grammar_seconds": grammar_s,
+                "csr_seconds": csr_s,
+                "grammar_vs_csr": grammar_s / csr_s,
+            }
+    return out
+
+
 def bench_rans(repeats: int) -> dict:
     """Per-symbol cost of each half of an ``re_ans`` decode, and of encode.
 
@@ -351,6 +413,10 @@ def run(profiles, warm_iters: int, cold_reps: int, cold_start=None,
             "compress": compress,
             "multiply": multiply,
         }
+        panel = bench_panel(
+            exact_grammar, csrv.values, csrv.shape, dense, PANEL_ROUNDS
+        )
+        report["profiles"][name]["panel"] = panel
         print(
             f"{name} ({dense.shape[0]}x{dense.shape[1]}, |S|="
             f"{compress['seq_len']:,}): compress exact "
@@ -365,6 +431,13 @@ def run(profiles, warm_iters: int, cold_reps: int, cold_start=None,
                 f"warm {1e3 * m['warm_seconds']:.3f}ms "
                 f"(x{m['warm_vs_cold']:.1f} vs cold, "
                 f"x{m['warm_vs_nocache']:.1f} vs no-cache)"
+            )
+        for case, p in panel.items():
+            print(
+                f"  panel {case}: grammar "
+                f"{1e3 * p['grammar_seconds']:.3f}ms vs csr "
+                f"{1e3 * p['csr_seconds']:.3f}ms "
+                f"({p['grammar_vs_csr']:.2f}x csr)"
             )
     if cold_start is not None:
         cs = bench_cold_start(*cold_start)
@@ -433,6 +506,15 @@ OBS_OVERHEAD_FLOOR_SECONDS = 5e-6
 RANS_MIN_SPEEDUP = {500: 1.0, 2000: 2.0, 8192: 2.0}
 
 
+#: The panel gate is self-relative: in each profile, the warm grammar
+#: kernel may take at most this multiple of scipy CSR on the same
+#: matrix, in the same run.  The operator plan reads 0.5-1.7x CSR on
+#: census 400 rows (the quick profile; right k=1 is call overhead) and
+#: 0.3-1.0x on the full profiles; the level-loop kernels it replaced
+#: read 2.0-4.7x at k=1 and 5.5-11x at k=64 on census 400 rows.
+PANEL_MAX_VS_CSR = {1: 3.0, 64: 2.0}
+
+
 def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> int:
     """Fail (return 1) if any warm latency regressed beyond tolerance."""
     baseline = json.loads(baseline_path.read_text())
@@ -479,6 +561,16 @@ def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> int:
                 f"({1e6 * delta:.1f}us) on the warm multiply — limit "
                 f"{OBS_OVERHEAD_LIMIT_PCT:g}%"
             )
+    for name, profile in report["profiles"].items():
+        for case, p in profile.get("panel", {}).items():
+            limit = PANEL_MAX_VS_CSR[int(case.rsplit("_k", 1)[1])]
+            if p["grammar_vs_csr"] > limit:
+                failures.append(
+                    f"{name}/panel {case}: grammar "
+                    f"{1e3 * p['grammar_seconds']:.3f}ms is "
+                    f"{p['grammar_vs_csr']:.2f}x csr "
+                    f"{1e3 * p['csr_seconds']:.3f}ms — limit {limit:g}x"
+                )
     for rans in report.get("rans", {}).get("streams", []):
         need = RANS_MIN_SPEEDUP[rans["symbols"]]
         if rans["laned_speedup"] < need:

@@ -8,8 +8,9 @@ Modules
   by the grammar compressor, with validation and expansion utilities.
 - :mod:`repro.core.repair` — the RePair compressor, modified so the row
   separator ``$`` never enters a rule (Section 3).
-- :mod:`repro.core.multiply` — the level-scheduled, vectorised
-  implementations of Theorems 3.4 (right) and 3.10 (left).
+- :mod:`repro.core.multiply` — Theorems 3.4 (right) and 3.10 (left) as
+  one sparse operator over ``[x; W]``, run level by level through
+  compiled CSR (right) and CSC (left) mat-vec kernels.
 - :mod:`repro.core.gcm` — :class:`GrammarCompressedMatrix` with the three
   physical encodings ``re_32`` / ``re_iv`` / ``re_ans`` (Section 4).
 - :mod:`repro.core.blocked` — row-block partitioning and multithreaded

@@ -5,8 +5,8 @@ output ``(C, R, V)``:
 
 ``re_32``
     ``C`` and ``R`` stored as plain 32-bit integer arrays.  Fastest,
-    largest.  The multiplication engine is built once and cached — the
-    stored arrays *are* the working form.
+    largest.  Its multiplication plan is retained by default (the cast
+    from storage is cheap, but the plan build is not worth repeating).
 ``re_iv``
     ``C`` and ``R`` bit-packed at ``1 + ⌊log₂ N_max⌋`` bits per symbol
     (sdsl ``int_vector`` style, :class:`repro.encoders.IntVector`).
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.csrv import CSRVMatrix
 from repro.core.grammar import Grammar
-from repro.core.multiply import MvmEngine, MvmPlan, PlanCache
+from repro.core.multiply import MvmEngine, MvmPlan, PlanCache, retained_nbytes
 from repro.core.repair import repair_compress
 from repro.encoders.int_vector import IntVector, bits_required
 from repro.encoders.rans import ans_compress, ans_decompress
@@ -99,7 +99,7 @@ class GrammarCompressedMatrix(MatrixFormat):
         self._c_length = int(c_length)
         self._n_rules = int(n_rules)
         self._engine: MvmEngine | None = None
-        self._retain_plan = False
+        self._retain_plan = variant == "re_32"
         self._fingerprint: str | None = None
 
     # -- construction -------------------------------------------------------------
@@ -295,19 +295,19 @@ class GrammarCompressedMatrix(MatrixFormat):
     def enable_plan_retention(self, retain: bool = True) -> bool:
         """Opt this block into (or out of) multiplication-plan retention.
 
-        With retention on, ``re_iv``/``re_ans`` build their
+        With retention on, the block builds its
         :class:`~repro.core.multiply.MvmPlan` once — through the shared
         fingerprint-keyed :func:`plan_cache`, so a reloaded copy of the
         same matrix skips even the first build — and every subsequent
-        multiplication runs without storage decode or schedule rebuild.
-        With retention off (the default), they rebuild per call,
-        charging the decode cost per multiplication exactly as the
-        paper describes.  ``re_32`` always caches its engine (its
-        storage *is* the decoded working form).  Returns ``True`` —
-        every grammar variant supports retention.
+        multiplication runs without storage decode or plan build.  With
+        retention off, every multiplication decodes and plans afresh,
+        charging the decode cost per multiplication exactly as the paper
+        describes.  ``re_32`` starts retained; ``re_iv``/``re_ans``
+        start off.  Returns ``True`` — every grammar variant supports
+        retention.
         """
         retain = bool(retain)
-        if retain != self._retain_plan and self._variant != "re_32":
+        if retain != self._retain_plan:
             self._engine = None
         self._retain_plan = retain
         return True
@@ -315,7 +315,7 @@ class GrammarCompressedMatrix(MatrixFormat):
     @property
     def plan_retained(self) -> bool:
         """Whether this block currently retains its multiplication plan."""
-        return self._retain_plan or self._variant == "re_32"
+        return self._retain_plan
 
     def release_retained_plans(self) -> None:
         """Drop the cached engine and this grammar's shared-cache plan.
@@ -326,9 +326,6 @@ class GrammarCompressedMatrix(MatrixFormat):
         stays enabled — the next multiplication rebuilds (and
         re-caches) the plan.
         """
-        if self._variant == "re_32":
-            self._engine = None
-            return
         self._engine = None
         if self._retain_plan:
             _PLAN_CACHE.discard(self.grammar_fingerprint())
@@ -336,42 +333,38 @@ class GrammarCompressedMatrix(MatrixFormat):
     # -- multiplication ----------------------------------------------------------------
 
     def _get_engine(self) -> MvmEngine:
-        """Return an executable schedule for this block.
+        """Return the plan bound to ``V`` for this block.
 
-        ``re_32`` caches the engine (its storage is already the decoded
-        working form).  ``re_iv``/``re_ans`` rebuild it from a fresh
-        decode on every call — the paper's per-multiplication cost
-        structure — unless :meth:`enable_plan_retention` switched them
-        to the served configuration, where the plan is built once
-        (reusing the shared cache when a structurally identical grammar
-        was already planned) and kept.
+        Without retention, every call decodes the storage and builds a
+        fresh plan — the paper's per-multiplication cost structure.
+        With :meth:`enable_plan_retention` on (the served
+        configuration, and ``re_32``'s default), the engine is built
+        once, from the shared cache's plan when a structurally
+        identical grammar was already planned, and kept.  The cached
+        plan holds value ids only, so matrices with one grammar and
+        different ``V`` share it safely.
         """
-        if self._variant == "re_32":
-            if self._engine is None:
-                self._engine = MvmEngine(self.decode_grammar(), self._shape[1])
-            return self._engine
-        if self._retain_plan:
-            if self._engine is None:
-                key = self.grammar_fingerprint()
-                plan = _PLAN_CACHE.get(key)
-                if plan is None:
-                    plan = _PLAN_CACHE.put(
-                        key,
-                        MvmPlan.from_grammar(
-                            self.decode_grammar(), self._shape[1]
-                        ),
-                    )
-                self._engine = MvmEngine.from_plan(plan)
-            return self._engine
-        return MvmEngine(self.decode_grammar(), self._shape[1])
+        if not self._retain_plan:
+            return MvmEngine.from_grammar(
+                self.decode_grammar(), self._shape[1], self._values
+            )
+        if self._engine is None:
+            key = self.grammar_fingerprint()
+            plan = _PLAN_CACHE.get(key)
+            if plan is None:
+                plan = _PLAN_CACHE.put(
+                    key, MvmPlan.from_grammar(self.decode_grammar(), self._shape[1])
+                )
+            self._engine = MvmEngine(plan, self._values)
+        return self._engine
 
     def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
         """``y = M x`` directly on the compressed form."""
-        return self._get_engine().right(self._values, x)
+        return self._get_engine().right(x)
 
     def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
         """``xᵗ = yᵗ M`` directly on the compressed form."""
-        return self._get_engine().left(self._values, y)
+        return self._get_engine().left(y)
 
     def _right_panel_kernel(self, threads: int, executor):
         """Batched Theorem 3.4: one pass over the grammar serves all
@@ -383,7 +376,7 @@ class GrammarCompressedMatrix(MatrixFormat):
         engine = self._get_engine()
 
         def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            engine.right_multi(self._values, panel, out=out)
+            engine.right(panel, out=out)
 
         return kernel
 
@@ -392,7 +385,7 @@ class GrammarCompressedMatrix(MatrixFormat):
         engine = self._get_engine()
 
         def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            out[:] = engine.left_multi(self._values, panel)
+            engine.left(panel, out=out)
 
         return kernel
 
@@ -422,15 +415,14 @@ class GrammarCompressedMatrix(MatrixFormat):
     def resident_overhead_bytes(self) -> int:
         """Live bytes a *served* instance keeps beyond its payload.
 
-        A served ``re_32`` block always caches its multiplication
-        engine (≈ one int64 per symbol of ``C`` and six per rule).
-        ``re_iv``/``re_ans`` charge the same schedule estimate once
-        :meth:`enable_plan_retention` is on — the serving registry's
-        byte budget then reflects the retained plan — and 0 otherwise
-        (rebuild per call, nothing kept).  The estimate is intentionally
-        build-independent so residency accounting does not change
-        between registration and first multiplication.
+        With :meth:`enable_plan_retention` on (``re_32``'s default),
+        the block keeps its :class:`~repro.core.multiply.MvmEngine`,
+        charged by :func:`~repro.core.multiply.retained_nbytes`.
+        Without retention nothing is kept (rebuild per call) and the
+        overhead is 0.  The estimate is intentionally build-independent
+        so residency accounting does not change between registration
+        and first multiplication.
         """
-        if self._variant == "re_32" or self._retain_plan:
-            return 8 * (self._c_length + 6 * self._n_rules)
-        return 0
+        if not self._retain_plan:
+            return 0
+        return retained_nbytes(self._shape[0], self._n_rules, self._c_length)

@@ -233,17 +233,18 @@ class Grammar:
         q = self.n_rules
         if q == 0:
             return np.zeros(0, dtype=np.int64)
-        a, b = self.rules[:, 0], self.rules[:, 1]
-        a_ref = np.where(a >= self.nt_base, a - self.nt_base, -1)
-        b_ref = np.where(b >= self.nt_base, b - self.nt_base, -1)
-        level = np.ones(q, dtype=np.int64)
+        # Terminal children point at a sentinel slot whose level stays 0.
+        refs = self.rules - self.nt_base
+        refs[refs < 0] = q
+        a, b = refs[:, 0], refs[:, 1]
+        level = np.ones(q + 1, dtype=np.int64)
+        level[q] = 0
         while True:
-            la = np.where(a_ref >= 0, level[np.maximum(a_ref, 0)], 0)
-            lb = np.where(b_ref >= 0, level[np.maximum(b_ref, 0)], 0)
-            new = 1 + np.maximum(la, lb)
-            if np.array_equal(new, level):
-                return level
-            level = new
+            new = np.maximum(level[a], level[b])
+            new += 1
+            if np.array_equal(new, level[:q]):
+                return new
+            level[:q] = new
 
     @property
     def depth(self) -> int:

@@ -1,4 +1,4 @@
-"""Level-scheduled matrix-vector multiplication over SLP grammars.
+"""Matrix-vector multiplication over SLP grammars as one sparse operator.
 
 This module implements Theorems 3.4 (right multiplication) and 3.10
 (left multiplication) of the paper.  Both theorems evaluate an auxiliary
@@ -14,28 +14,42 @@ array ``W[1..q]`` over the rules:
   backward scan of the rules; terminal children ``⟨ℓ,j⟩`` flush
   ``V[ℓ]·W`` into ``x[j]``.
 
-The paper's C prototype walks the rules one by one.  A per-symbol Python
-loop would dominate the runtime (the calibration notes flag exactly
-this), so this module replaces the sequential scan with a *level
-schedule*: rules are grouped by derivation height, and all rules of one
-level are evaluated with numpy gathers/scatters.  The evaluation order
-within the DAG is identical to the theorems' (children strictly before
-parents for right, parents strictly before children for left), so the
-computed values are exactly the same sums.
+Both are linear maps over the stacked vector ``z = [x; W]``.  Rule
+``N_i → A B`` is the sparse row ``W[i] = w_A·z[A] + w_B·z[B]``, where a
+terminal child ``⟨ℓ,j⟩`` is column ``j`` with weight ``V[ℓ]`` and a
+nonterminal child is its ``W`` column with weight 1; row ``r`` of the
+matrix is the sparse row ``y[r] = Σ w_s·z[s]`` over the symbols of
+``C`` between its separators.  :class:`MvmPlan` stores all of these
+rows as one CSR operator — two entries per rule, then the final
+string — with the rules renumbered by derivation level, so that the
+rules of one level are a contiguous block of rows that reads only
+``x`` and lower levels.
 
-:class:`MvmPlan` packages the precomputed schedule — the level slices
-plus the decomposed final string — as an immutable, grammar-independent
-value object; :class:`MvmEngine` executes a plan against the value
-array and operand vectors.  Building a plan costs
-``O(|C| + |R| · depth / vector-width)``, which is cheap enough to be
-redone per multiplication — how the ``re_iv``/``re_ans`` variants
-account for their decode overhead by default (see
-:mod:`repro.core.gcm`) — but pure waste on a serving path that
-multiplies the same matrix thousands of times.  Served matrices
-therefore opt into *plan retention*: plans are cached in a
-:class:`PlanCache` keyed by a grammar fingerprint, so repeated
-multiplications skip both the storage decode and the schedule rebuild
-(see ``BENCH_hotpaths.json`` for the cold/warm gap this buys).
+A per-symbol Python loop would dominate the runtime, so each level is
+one call of the compiled CSR mat-vec kernels that scipy's own
+``csr_array @`` dispatches to, on a slice of the operator's index
+pointer: right multiplication is the chain of level mat-vecs, each
+writing the next slice of ``z``, then the final string.  Left
+multiplication reads the same arrays as the transposed (CSC) operator
+and runs the chain in reverse: the final string seeds ``W``, and each
+level, once every parent has contributed, flushes into its children.
+The evaluation order is the theorems' (children strictly before parents
+for right, parents strictly before children for left), so the computed
+values are the same sums.  One code path serves a vector and a
+``(·, k)`` panel.
+
+:class:`MvmPlan` is an immutable, grammar-independent value object; it
+holds value *ids*, never values, so one plan serves every matrix with
+the same grammar.  :class:`MvmEngine` binds a value array ``V`` into
+per-entry weights once and runs the chain.  Building a plan costs
+``O(|C| + |R| · depth)``, which is cheap enough to be redone per
+multiplication — how the ``re_iv``/``re_ans`` variants account for
+their decode overhead by default (see :mod:`repro.core.gcm`) — but
+pure waste on a serving path that multiplies the same matrix thousands
+of times.  Served matrices therefore opt into *plan retention*: plans
+are cached in a :class:`PlanCache` keyed by a grammar fingerprint, so
+repeated multiplications skip both the storage decode and the plan
+build (see ``BENCH_hotpaths.json`` for the cold/warm gap this buys).
 """
 
 from __future__ import annotations
@@ -43,46 +57,43 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
+from scipy.sparse._sparsetools import (
+    csc_matvec,
+    csc_matvecs,
+    csr_matvec,
+    csr_matvecs,
+)
 
-from repro.core.csrv import ROW_SEPARATOR, group_scatter_add
+from repro.core.csrv import ROW_SEPARATOR
 from repro.core.grammar import Grammar
 from repro.errors import MatrixFormatError
 
-
-@dataclass(frozen=True)
-class _LevelSlice:
-    """Precomputed gather indices for all rules of one derivation level.
-
-    For side ``A`` (and symmetrically ``B``) of the rules in ``rule_idx``:
-    ``term_sel``/``nt_sel`` partition positions into terminal and
-    nonterminal children; terminals are pre-split into their
-    ``(ℓ, j)`` components, nonterminals into rule references.
-    """
-
-    rule_idx: np.ndarray
-    a_term_sel: np.ndarray
-    a_term_l: np.ndarray
-    a_term_j: np.ndarray
-    a_nt_sel: np.ndarray
-    a_nt_ref: np.ndarray
-    b_term_sel: np.ndarray
-    b_term_l: np.ndarray
-    b_term_j: np.ndarray
-    b_nt_sel: np.ndarray
-    b_nt_ref: np.ndarray
+#: Largest index the compiled kernels' 32-bit index variant can hold.
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
 class MvmPlan:
-    """The reusable part of a multiplication: schedule + decomposition.
+    """The reusable part of a multiplication: the operator over ``z = [x; W]``.
+
+    Rows ``0..q-1`` of the CSR triple ``(indptr, indices, value_ids)``
+    are the rules, renumbered so that level ``l`` is the row block
+    ``levels[l-1]:levels[l]``; every rule has exactly two entries, so
+    that part of ``indptr`` is ``2·arange(q + 1)``.  Rows ``q..q+n-1``
+    are the matrix rows of the final string.  Columns ``0..m-1`` are
+    ``x``, column ``m + r`` is (renumbered) rule ``r``.  ``value_ids``
+    holds ``ℓ`` for a terminal entry and ``-1`` for a rule reference
+    (weight 1).
 
     A plan is derived purely from ``(grammar, n_cols)`` and holds no
-    reference to the grammar arrays, so it can outlive the decode that
-    produced it: a served ``re_iv``/``re_ans`` block that retains its
-    plan skips both the storage decode and the schedule rebuild on
-    every multiplication after the first (see
+    reference to the grammar arrays or to ``V``, so it can outlive the
+    decode that produced it and be shared by every matrix with the same
+    grammar: a served ``re_iv``/``re_ans`` block that retains its plan
+    skips both the storage decode and the plan build on every
+    multiplication after the first (see
     :meth:`repro.core.gcm.GrammarCompressedMatrix.enable_plan_retention`
     and :class:`PlanCache`).
     """
@@ -90,55 +101,72 @@ class MvmPlan:
     n_cols: int
     n_rows: int
     n_rules: int
-    levels: tuple[_LevelSlice, ...]
-    c_rows_term: np.ndarray
-    c_term_l: np.ndarray
-    c_term_j: np.ndarray
-    c_rows_nt: np.ndarray
-    c_nt_ref: np.ndarray
+    #: Length of ``V`` the value ids need (largest id + 1).
+    n_values: int
+    #: ``(depth + 1,)`` first renumbered rule of each level, then ``q``.
+    levels: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    value_ids: np.ndarray
 
     @classmethod
     def from_grammar(cls, grammar: Grammar, n_cols: int) -> MvmPlan:
-        """Build the level schedule and final-string decomposition."""
-        n_cols = int(n_cols)
-        c_parts = _decompose_final(grammar, n_cols)
+        """Renumber the rules by level and write the operator's arrays."""
+        m = int(n_cols)
+        q = grammar.n_rules
+        base = grammar.nt_base
+        c = grammar.final
+        # Symbols, columns and entry offsets all fit the kernels' 32-bit
+        # index variant unless the grammar is huge.
+        itype = (
+            np.int32
+            if max(base + q, m + q, 2 * q + c.size) <= _INT32_MAX
+            else np.int64
+        )
+        rule_level = grammar.rule_levels()
+        levels = np.concatenate([[0], np.cumsum(np.bincount(rule_level)[1:])])
+        # A stable sort of small integers is a radix sort.
+        key = rule_level.astype(np.uint16) if levels.size <= 1 << 16 else rule_level
+        order = np.argsort(key, kind="stable")
+        renumbered = np.empty(q, dtype=itype)
+        renumbered[order] = np.arange(m, m + q, dtype=itype)
+
+        is_sep = c == ROW_SEPARATOR
+        symbols = np.concatenate(
+            [grammar.rules[order].ravel(), c[~is_sep]], dtype=itype, casting="same_kind"
+        )
+        # Entry index of each row end: the separator's position less the
+        # separators before it.
+        separators = np.flatnonzero(is_sep)
+        row_ends = separators - np.arange(separators.size)
+        indptr = np.concatenate(
+            [2 * np.arange(q + 1), 2 * q + row_ends], dtype=itype, casting="same_kind"
+        )
+
+        value_ids, indices = np.divmod(symbols - 1, itype(max(m, 1)))
+        nt = np.flatnonzero(symbols >= base)
+        indices[nt] = renumbered[symbols[nt] - base]
+        value_ids[nt] = -1
         return cls(
-            n_cols=n_cols,
-            n_rows=grammar.n_rows,
-            n_rules=grammar.n_rules,
-            levels=tuple(_build_level_slices(grammar, n_cols)),
-            c_rows_term=c_parts[0],
-            c_term_l=c_parts[1],
-            c_term_j=c_parts[2],
-            c_rows_nt=c_parts[3],
-            c_nt_ref=c_parts[4],
+            n_cols=m,
+            n_rows=int(row_ends.size),
+            n_rules=q,
+            n_values=int(value_ids.max()) + 1 if value_ids.size else 0,
+            levels=levels,
+            indptr=indptr,
+            indices=indices,
+            value_ids=value_ids,
         )
 
     @property
     def nbytes(self) -> int:
-        """Bytes held live by the plan's index arrays (cache accounting)."""
-        total = (
-            self.c_rows_term.nbytes
-            + self.c_term_l.nbytes
-            + self.c_term_j.nbytes
-            + self.c_rows_nt.nbytes
-            + self.c_nt_ref.nbytes
+        """Bytes held live by the plan's arrays (cache accounting)."""
+        return int(
+            self.levels.nbytes
+            + self.indptr.nbytes
+            + self.indices.nbytes
+            + self.value_ids.nbytes
         )
-        for lvl in self.levels:
-            total += (
-                lvl.rule_idx.nbytes
-                + lvl.a_term_sel.nbytes
-                + lvl.a_term_l.nbytes
-                + lvl.a_term_j.nbytes
-                + lvl.a_nt_sel.nbytes
-                + lvl.a_nt_ref.nbytes
-                + lvl.b_term_sel.nbytes
-                + lvl.b_term_l.nbytes
-                + lvl.b_term_j.nbytes
-                + lvl.b_nt_sel.nbytes
-                + lvl.b_nt_ref.nbytes
-            )
-        return int(total)
 
 
 class PlanCache:
@@ -149,9 +177,10 @@ class PlanCache:
     :meth:`repro.core.gcm.GrammarCompressedMatrix.grammar_fingerprint`),
     so structurally identical grammars — the same matrix re-registered,
     or one matrix evicted and reloaded by the serving registry — share
-    one plan build.  Eviction is LRU by insertion/access order, bounded
-    by entry count; byte usage is reported for the serving registry's
-    residency accounting.
+    one plan build.  Plans hold value ids, not values, so matrices that
+    share a grammar but not ``V`` share a plan safely.  Eviction is LRU
+    by insertion/access order, bounded by entry count; byte usage is
+    reported for the serving registry's residency accounting.
     """
 
     def __init__(self, max_plans: int = 64) -> None:
@@ -225,317 +254,168 @@ class PlanCache:
 
 
 class MvmEngine:
-    """Executable multiplication schedule for one grammar-compressed block.
+    """A plan bound to one value array: the executable multiplication.
 
     Parameters
     ----------
-    grammar:
-        The SLP ``(C, R)`` produced by :func:`repro.core.repair.repair_compress`.
-    n_cols:
-        Number of matrix columns ``m`` (needed to split pair codes).
     plan:
-        A prebuilt :class:`MvmPlan` to execute.  When given, ``grammar``
-        may be ``None`` — the decode-skipping path of plan retention.
+        The :class:`MvmPlan` to execute (typically shared through a
+        :class:`PlanCache`).
+    values:
+        The distinct-value array ``V`` of the matrix; bound once into
+        per-entry weights.
 
     Notes
     -----
-    The engine is stateless with respect to the vectors: ``right`` and
-    ``left`` can be called any number of times with different operands.
-    The auxiliary array ``W`` of the theorems is allocated per call
-    (``8·q`` bytes, matching the ``O(|R|)`` space bound).
+    The engine is stateless with respect to the operands: :meth:`right`
+    and :meth:`left` can be called any number of times, with a vector or
+    a ``(·, k)`` panel.  The stacked vector ``z = [x; W]`` of the
+    theorems is allocated per call (``8·(m + q)·k`` bytes, matching the
+    ``O(|R|)`` space bound per vector).
     """
 
-    def __init__(
-        self,
-        grammar: Grammar | None,
-        n_cols: int | None = None,
-        plan: MvmPlan | None = None,
-    ) -> None:
-        if plan is None:
-            if grammar is None or n_cols is None:
-                raise MatrixFormatError(
-                    "MvmEngine needs either a grammar and n_cols, or a plan"
-                )
-            plan = MvmPlan.from_grammar(grammar, n_cols)
+    def __init__(self, plan: MvmPlan, values: np.ndarray) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1 or values.size < plan.n_values:
+            raise MatrixFormatError(
+                f"the plan needs a value array of length >= {plan.n_values}, "
+                f"got shape {values.shape}"
+            )
         self._plan = plan
-        self._n_cols = plan.n_cols
-        self._q = plan.n_rules
-        self._n_rows = plan.n_rows
-        self._levels = plan.levels
-        self._c_rows_term = plan.c_rows_term
-        self._c_term_l = plan.c_term_l
-        self._c_term_j = plan.c_term_j
-        self._c_rows_nt = plan.c_rows_nt
-        self._c_nt_ref = plan.c_nt_ref
+        # Rule references carry id -1, which picks the appended weight 1.
+        self._weights = np.append(values, 1.0)[plan.value_ids]
+        m, q = plan.n_cols, plan.n_rules
+        self._width = m + q
+        self._level_rows = [
+            (plan.indptr[lo : hi + 1], m + lo, m + hi)
+            for lo, hi in pairwise(plan.levels.tolist())
+        ]
+        self._final_rows = plan.indptr[q:]
 
     @classmethod
-    def from_plan(cls, plan: MvmPlan) -> MvmEngine:
-        """Wrap a prebuilt (typically cached) plan — no grammar needed."""
-        return cls(None, plan=plan)
+    def from_grammar(
+        cls, grammar: Grammar, n_cols: int, values: np.ndarray
+    ) -> MvmEngine:
+        """Build a fresh plan for ``grammar`` and bind ``values`` to it."""
+        return cls(MvmPlan.from_grammar(grammar, n_cols), values)
 
     @property
     def plan(self) -> MvmPlan:
-        """The immutable schedule this engine executes."""
+        """The immutable operator this engine executes."""
         return self._plan
 
     @property
     def n_rows(self) -> int:
         """Number of matrix rows covered by this engine's block."""
-        return self._n_rows
+        return self._plan.n_rows
 
     @property
     def n_rules(self) -> int:
         """Number of grammar rules ``q``."""
-        return self._q
+        return self._plan.n_rules
 
-    def right(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Compute ``y = M x`` for this block (Theorem 3.4)."""
-        if x.size != self._n_cols:
-            raise MatrixFormatError(
-                f"x has length {x.size}, expected {self._n_cols}"
-            )
-        w = np.empty(self._q, dtype=np.float64)
-        for lvl in self._levels:
-            val_a = np.empty(lvl.rule_idx.size, dtype=np.float64)
-            val_a[lvl.a_term_sel] = values[lvl.a_term_l] * x[lvl.a_term_j]
-            val_a[lvl.a_nt_sel] = w[lvl.a_nt_ref]
-            val_b = np.empty(lvl.rule_idx.size, dtype=np.float64)
-            val_b[lvl.b_term_sel] = values[lvl.b_term_l] * x[lvl.b_term_j]
-            val_b[lvl.b_nt_sel] = w[lvl.b_nt_ref]
-            w[lvl.rule_idx] = val_a + val_b
-        y = np.zeros(self._n_rows, dtype=np.float64)
-        if self._c_term_j.size:
-            y += np.bincount(
-                self._c_rows_term,
-                weights=values[self._c_term_l] * x[self._c_term_j],
-                minlength=self._n_rows,
-            )
-        if self._c_nt_ref.size:
-            y += np.bincount(
-                self._c_rows_nt, weights=w[self._c_nt_ref], minlength=self._n_rows
-            )
+    @property
+    def nbytes(self) -> int:
+        """Bytes held live by the plan plus the bound weights."""
+        return self._plan.nbytes + int(self._weights.nbytes)
+
+    def right(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Compute ``y = M x`` (Theorem 3.4) for a vector or an ``(m, k)`` panel.
+
+        ``out``, when given, receives the result in place (its old
+        contents are overwritten) and is returned.
+        """
+        x = _operand(x, self._plan.n_cols, "x")
+        z = np.zeros((self._width,) + x.shape[1:], dtype=np.float64)
+        z[: self._plan.n_cols] = x
+        for rows, lo, hi in self._level_rows:
+            self._csr(rows, z, z[lo:hi])
+        y = _zeroed_result(out, (self._plan.n_rows,) + x.shape[1:])
+        self._csr(self._final_rows, z, y)
+        if out is not None and y is not out:
+            out[...] = y
+            return out
         return y
 
-    def right_multi(
-        self,
-        values: np.ndarray,
-        x_block: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Compute ``Y = M X`` for a block of vectors (Theorem 3.4).
+    def left(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Compute ``xᵗ = yᵗ M`` (Theorem 3.10) for a vector or an ``(n, k)`` panel.
 
-        ``x_block`` has shape ``(m, k)``; the result has shape
-        ``(n_rows, k)``.  The auxiliary array ``W`` becomes ``(q, k)``
-        — still ``O(|R|)`` words per vector, evaluated level by level
-        exactly like :meth:`right`.
-
-        ``out``, when given, receives the result in place (it is
-        zeroed first).  Callers that concatenate per-block results —
-        the serving executor writes each block into a disjoint row
-        slice of one preallocated panel — avoid a copy per block.
+        For a panel, column ``c`` of the ``(m, k)`` result is
+        ``y[:, c]ᵗ M``.  ``out`` as in :meth:`right`.
         """
-        if x_block.ndim != 2 or x_block.shape[0] != self._n_cols:
-            raise MatrixFormatError(
-                f"x block has shape {x_block.shape}, expected "
-                f"({self._n_cols}, k)"
-            )
-        k = x_block.shape[1]
-        w = np.empty((self._q, k), dtype=np.float64)
-        for lvl in self._levels:
-            val_a = np.empty((lvl.rule_idx.size, k), dtype=np.float64)
-            val_a[lvl.a_term_sel] = (
-                values[lvl.a_term_l, None] * x_block[lvl.a_term_j]
-            )
-            val_a[lvl.a_nt_sel] = w[lvl.a_nt_ref]
-            val_b = np.empty((lvl.rule_idx.size, k), dtype=np.float64)
-            val_b[lvl.b_term_sel] = (
-                values[lvl.b_term_l, None] * x_block[lvl.b_term_j]
-            )
-            val_b[lvl.b_nt_sel] = w[lvl.b_nt_ref]
-            w[lvl.rule_idx] = val_a + val_b
+        y = np.ascontiguousarray(_operand(y, self._plan.n_rows, "y"))
+        g = np.zeros((self._width,) + y.shape[1:], dtype=np.float64)
+        # Seed from C, then flush each level once all its parents (all
+        # at higher levels) have landed; a level writes only to x and
+        # to lower levels, never to the slice it reads.
+        self._csc(self._final_rows, y, g)
+        for rows, lo, hi in reversed(self._level_rows):
+            self._csc(rows, g[lo:hi], g)
+        x = g[: self._plan.n_cols]
         if out is None:
-            out = np.zeros((self._n_rows, k), dtype=np.float64)
-        else:
-            if out.shape != (self._n_rows, k):
-                raise MatrixFormatError(
-                    f"out has shape {out.shape}, expected "
-                    f"({self._n_rows}, {k})"
-                )
-            out[:] = 0.0
-        # Occurrence rows are non-decreasing (positions scan C left to
-        # right), so the scatter collapses to segment sums.
-        if self._c_term_j.size:
-            group_scatter_add(
-                out,
-                self._c_rows_term,
-                values[self._c_term_l, None] * x_block[self._c_term_j],
-            )
-        if self._c_nt_ref.size:
-            group_scatter_add(out, self._c_rows_nt, w[self._c_nt_ref])
+            return x.copy()
+        _check_out(out, x.shape)
+        out[...] = x
         return out
 
-    def left(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Compute ``xᵗ = yᵗ M`` for this block (Theorem 3.10)."""
-        if y.size != self._n_rows:
-            raise MatrixFormatError(
-                f"y has length {y.size}, expected {self._n_rows}"
+    # -- kernels ---------------------------------------------------------------
+
+    def _csr(self, rows: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        """``dst += A[rows] @ src`` for a contiguous block of operator rows."""
+        n = rows.size - 1
+        if src.ndim == 1:
+            csr_matvec(n, self._width, rows, self._plan.indices, self._weights, src, dst)
+        else:
+            csr_matvecs(
+                n, self._width, src.shape[1], rows, self._plan.indices,
+                self._weights, src, dst,
             )
-        m = self._n_cols
-        # Seed: occurrences in the final string C.
-        x = np.zeros(m, dtype=np.float64)
-        if self._c_term_j.size:
-            x += np.bincount(
-                self._c_term_j,
-                weights=values[self._c_term_l] * y[self._c_rows_term],
-                minlength=m,
+
+    def _csc(self, rows: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        """``dst += A[rows]ᵗ @ src``: the same rows read as CSC columns."""
+        n = rows.size - 1
+        if src.ndim == 1:
+            csc_matvec(self._width, n, rows, self._plan.indices, self._weights, src, dst)
+        else:
+            csc_matvecs(
+                self._width, n, src.shape[1], rows, self._plan.indices,
+                self._weights, src, dst,
             )
-        if self._q == 0:
-            return x
-        w = np.zeros(self._q, dtype=np.float64)
-        if self._c_nt_ref.size:
-            w += np.bincount(
-                self._c_nt_ref, weights=y[self._c_rows_nt], minlength=self._q
-            )
-        # Top-down propagation: by the time a level is processed, all
-        # contributions from C and from strictly higher levels have
-        # landed in w (rule references always point to lower levels).
-        for lvl in reversed(self._levels):
-            w_lvl = w[lvl.rule_idx]
-            if lvl.a_nt_ref.size:
-                w += np.bincount(
-                    lvl.a_nt_ref, weights=w_lvl[lvl.a_nt_sel], minlength=self._q
-                )
-            if lvl.b_nt_ref.size:
-                w += np.bincount(
-                    lvl.b_nt_ref, weights=w_lvl[lvl.b_nt_sel], minlength=self._q
-                )
-            if lvl.a_term_j.size:
-                x += np.bincount(
-                    lvl.a_term_j,
-                    weights=values[lvl.a_term_l] * w_lvl[lvl.a_term_sel],
-                    minlength=m,
-                )
-            if lvl.b_term_j.size:
-                x += np.bincount(
-                    lvl.b_term_j,
-                    weights=values[lvl.b_term_l] * w_lvl[lvl.b_term_sel],
-                    minlength=m,
-                )
-        return x
 
 
-    def left_multi(self, values: np.ndarray, y_block: np.ndarray) -> np.ndarray:
-        """Compute ``Xᵗ = Yᵗ M`` for a block of vectors (Theorem 3.10).
+def retained_nbytes(n_rows: int, n_rules: int, c_length: int) -> int:
+    """Bytes an :class:`MvmEngine` holds for a grammar of these sizes,
+    without building it.
 
-        ``y_block`` has shape ``(n_rows, k)``; the result has shape
-        ``(m, k)`` where column ``c`` equals ``y_block[:, c]ᵗ M``.
-        """
-        if y_block.ndim != 2 or y_block.shape[0] != self._n_rows:
-            raise MatrixFormatError(
-                f"y block has shape {y_block.shape}, expected "
-                f"({self._n_rows}, k)"
-            )
-        k = y_block.shape[1]
-        m = self._n_cols
-        x = np.zeros((m, k), dtype=np.float64)
-        if self._c_term_j.size:
-            np.add.at(
-                x,
-                self._c_term_j,
-                values[self._c_term_l, None] * y_block[self._c_rows_term],
-            )
-        if self._q == 0:
-            return x
-        w = np.zeros((self._q, k), dtype=np.float64)
-        if self._c_nt_ref.size:
-            np.add.at(w, self._c_nt_ref, y_block[self._c_rows_nt])
-        for lvl in reversed(self._levels):
-            w_lvl = w[lvl.rule_idx]
-            if lvl.a_nt_ref.size:
-                np.add.at(w, lvl.a_nt_ref, w_lvl[lvl.a_nt_sel])
-            if lvl.b_nt_ref.size:
-                np.add.at(w, lvl.b_nt_ref, w_lvl[lvl.b_nt_sel])
-            if lvl.a_term_j.size:
-                np.add.at(
-                    x,
-                    lvl.a_term_j,
-                    values[lvl.a_term_l, None] * w_lvl[lvl.a_term_sel],
-                )
-            if lvl.b_term_j.size:
-                np.add.at(
-                    x,
-                    lvl.b_term_j,
-                    values[lvl.b_term_l, None] * w_lvl[lvl.b_term_sel],
-                )
-        return x
-
-
-def _split_side(
-    side: np.ndarray, nt_base: int, n_cols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split one rule side into terminal (ℓ, j) parts and rule references."""
-    is_term = side < nt_base
-    term_sel = np.flatnonzero(is_term)
-    nt_sel = np.flatnonzero(~is_term)
-    pair = side[term_sel] - 1
-    return (
-        term_sel,
-        pair // n_cols,
-        pair % n_cols,
-        nt_sel,
-        side[nt_sel] - nt_base,
-    )
-
-
-def _build_level_slices(grammar: Grammar, n_cols: int) -> list[_LevelSlice]:
-    """Group rules by derivation level and precompute gather indices."""
-    q = grammar.n_rules
-    if q == 0:
-        return []
-    levels = grammar.rule_levels()
-    order = np.argsort(levels, kind="stable")
-    sorted_levels = levels[order]
-    boundaries = np.searchsorted(
-        sorted_levels, np.arange(1, int(sorted_levels[-1]) + 1), side="right"
-    )
-    slices = []
-    lo = 0
-    a_all = grammar.rules[:, 0]
-    b_all = grammar.rules[:, 1]
-    for hi in boundaries:
-        if hi == lo:
-            continue
-        rule_idx = order[lo:hi]
-        a = a_all[rule_idx]
-        b = b_all[rule_idx]
-        a_parts = _split_side(a, grammar.nt_base, n_cols)
-        b_parts = _split_side(b, grammar.nt_base, n_cols)
-        slices.append(_LevelSlice(rule_idx, *a_parts, *b_parts))
-        lo = hi
-    return slices
-
-
-def _decompose_final(
-    grammar: Grammar, n_cols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split the final string into terminal and nonterminal occurrences.
-
-    Returns ``(rows_term, term_l, term_j, rows_nt, nt_ref)`` where the
-    ``rows_*`` arrays give the matrix row of each occurrence (the count
-    of ``$`` separators before it).
+    The plan has ``2q + |C| - n`` entries, each a 4-byte column and a
+    4-byte value id, plus the engine's 8-byte bound weight, and a 4-byte
+    index pointer per rule and row (the small per-level array is left
+    out).  Exact for grammars small enough for 32-bit indices.
     """
-    c = grammar.final
-    is_sep = c == ROW_SEPARATOR
-    row_of_pos = np.cumsum(is_sep) - is_sep
-    is_term = (~is_sep) & (c < grammar.nt_base)
-    is_nt = c >= grammar.nt_base
-    term_pos = np.flatnonzero(is_term)
-    nt_pos = np.flatnonzero(is_nt)
-    pair = c[term_pos] - 1
-    return (
-        row_of_pos[term_pos],
-        pair // n_cols,
-        pair % n_cols,
-        row_of_pos[nt_pos],
-        c[nt_pos] - grammar.nt_base,
-    )
+    entries = 2 * n_rules + c_length - n_rows
+    return 16 * entries + 4 * (n_rules + n_rows + 1)
+
+
+def _operand(arr: np.ndarray, length: int, name: str) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim not in (1, 2) or arr.shape[0] != length:
+        raise MatrixFormatError(
+            f"{name} has shape {arr.shape}, expected ({length},) or ({length}, k)"
+        )
+    return arr
+
+
+def _zeroed_result(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed C-contiguous result buffer: ``out`` itself when it is one."""
+    if out is None:
+        return np.zeros(shape, dtype=np.float64)
+    _check_out(out, shape)
+    if out.dtype == np.float64 and out.flags.c_contiguous:
+        out.fill(0.0)
+        return out
+    return np.zeros(shape, dtype=np.float64)
+
+
+def _check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
+    if out.shape != shape:
+        raise MatrixFormatError(f"out has shape {out.shape}, expected {shape}")

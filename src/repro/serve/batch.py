@@ -3,10 +3,11 @@
 The serving engine's headline throughput win: a request carrying ``k``
 vectors is answered with **one** panel multiplication ``Y = M X``
 instead of ``k`` single MVMs.  For the grammar-compressed variants this
-amortises the per-call costs across the whole panel — the level
-schedule is walked once (``re_32``), and the ``re_iv`` unpack /
-``re_ans`` entropy decode of ``C`` is paid once instead of ``k`` times
-(see :meth:`repro.core.multiply.MvmEngine.right_multi`).
+amortises the per-call costs across the whole panel: the chain of
+level mat-vecs runs once over all ``k`` columns, and without plan
+retention the ``re_iv`` unpack / ``re_ans`` entropy decode of ``C`` and
+the plan build are paid once instead of ``k`` times (see
+:meth:`repro.core.multiply.MvmEngine.right`).
 
 Every representation speaks the :class:`repro.formats.MatrixFormat`
 protocol — panel kernels exist for all of them (native where the format
@@ -18,8 +19,9 @@ groups) fan their work out over the caller's persistent
 kernel with ``threads`` forwarded.
 
 ``panel_width`` bounds the batched workspace: the grammar kernel's
-auxiliary array is ``(|R|, k)`` doubles, so very wide panels on very
-large grammars are chunked into panels of at most that many columns
+stacked vector ``[x; W]`` is ``(m + |R|, k)`` doubles, so very wide
+panels on very large grammars are chunked into panels of at most that
+many columns
 (the kernel — and any storage decode it implies — is built once and
 reused across chunks).
 """
@@ -130,8 +132,10 @@ def looped_right_multiply(matrix, vectors) -> np.ndarray:  # ra: executor — de
 
     Kept as the comparison point for
     ``benchmarks/bench_serve_throughput.py``: every call re-pays the
-    per-multiplication setup (engine build, ``re_iv`` unpack,
-    ``re_ans`` decode) that :func:`batch_right_multiply` amortises.
+    per-call fixed costs (operand checks, one pass of the level chain
+    per vector, and without plan retention the plan build and the
+    ``re_iv`` unpack / ``re_ans`` decode) that
+    :func:`batch_right_multiply` pays once.
     """
     panel = as_panel(vectors, matrix.shape[1], "x")
     return np.stack(

@@ -19,8 +19,9 @@ The budget charge is :func:`resident_estimate` — ``size_bytes()``
 *plus* each format's self-reported
 :meth:`~repro.formats.MatrixFormat.resident_overhead_bytes` (a CSRV
 block caches its decoded views and a scipy CSR for the panel kernels;
-``re_32`` caches its multiplication engine; ``re_iv``/``re_ans``
-charge their retained :class:`~repro.core.multiply.MvmPlan` when the
+a grammar variant charges its retained
+:class:`~repro.core.multiply.MvmPlan` and bound weights — ``re_32``
+always, since it retains by default, ``re_iv``/``re_ans`` when the
 registry's plan retention is on), so the budget tracks what the
 process actually keeps live, not just the compressed payload.
 
@@ -73,10 +74,10 @@ def resident_estimate(matrix: Any) -> int:
     Serving multiplies repeatedly, so the caches warm immediately and
     are charged up front.  Each format reports its own cache footprint
     (:meth:`repro.formats.MatrixFormat.resident_overhead_bytes`): a
-    CSRV block's decoded views and scipy CSR panel view, a cached
-    ``re_32`` engine's gather indices, and — once the registry enabled
-    plan retention on them — the ``re_iv``/``re_ans`` blocks' retained
-    multiplication plans.  Call it *after*
+    CSRV block's decoded views and scipy CSR panel view, and a grammar
+    block's retained multiplication plan with its bound weights
+    (``re_32`` retains by default; ``re_iv``/``re_ans`` once the
+    registry enabled plan retention on them).  Call it *after*
     ``enable_plan_retention`` so the charge covers the plan.
     """
     footprint = getattr(matrix, "resident_footprint_bytes", None)

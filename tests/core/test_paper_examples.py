@@ -106,23 +106,23 @@ class TestFigure2:
 
     def test_right_multiplication_theorem_3_4(self, figure2_grammar, paper_matrix):
         values = np.array([1.2, 1.7, 2.3, 3.4, 4.5, 5.6])
-        engine = MvmEngine(figure2_grammar, 5)
+        engine = MvmEngine.from_grammar(figure2_grammar, 5, values)
         x = np.array([0.5, -1.0, 2.0, 3.0, 1.0])
-        assert np.allclose(engine.right(values, x), paper_matrix @ x)
+        assert np.allclose(engine.right(x), paper_matrix @ x)
 
     def test_left_multiplication_theorem_3_10(self, figure2_grammar, paper_matrix):
         values = np.array([1.2, 1.7, 2.3, 3.4, 4.5, 5.6])
-        engine = MvmEngine(figure2_grammar, 5)
+        engine = MvmEngine.from_grammar(figure2_grammar, 5, values)
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert np.allclose(engine.left(values, y), y @ paper_matrix)
+        assert np.allclose(engine.left(y), y @ paper_matrix)
 
     def test_eval_x_of_nonterminals_lemma_3_3(self, figure2_grammar, paper_matrix):
         # Lemma 3.3: y[r] = eval_x(N_{i_r}) — the engine's row outputs
         # must equal the expansions' dot products row by row.
         values = np.array([1.2, 1.7, 2.3, 3.4, 4.5, 5.6])
-        engine = MvmEngine(figure2_grammar, 5)
+        engine = MvmEngine.from_grammar(figure2_grammar, 5, values)
         x = np.arange(5, dtype=np.float64) + 1
-        y = engine.right(values, x)
+        y = engine.right(x)
         for r in range(6):
             assert y[r] == pytest.approx(float(paper_matrix[r] @ x))
 

@@ -26,26 +26,24 @@ class TestMvmPlan:
     def test_engine_from_plan_matches_engine_from_grammar(self, dense, grammar):
         csrv = CSRVMatrix.from_dense(dense)
         n_cols = dense.shape[1]
-        direct = MvmEngine(grammar, n_cols)
+        direct = MvmEngine.from_grammar(grammar, n_cols, csrv.values)
         plan = MvmPlan.from_grammar(grammar, n_cols)
-        via_plan = MvmEngine.from_plan(plan)
+        via_plan = MvmEngine(plan, csrv.values)
         x = np.random.default_rng(1).standard_normal(n_cols)
         y = np.random.default_rng(2).standard_normal(dense.shape[0])
-        np.testing.assert_array_equal(
-            direct.right(csrv.values, x), via_plan.right(csrv.values, x)
-        )
-        np.testing.assert_array_equal(
-            direct.left(csrv.values, y), via_plan.left(csrv.values, y)
-        )
+        np.testing.assert_array_equal(direct.right(x), via_plan.right(x))
+        np.testing.assert_array_equal(direct.left(y), via_plan.left(y))
         assert direct.plan.n_rules == plan.n_rules
 
     def test_plan_nbytes_positive(self, grammar, dense):
         plan = MvmPlan.from_grammar(grammar, dense.shape[1])
         assert plan.nbytes > 0
 
-    def test_engine_requires_grammar_or_plan(self):
+    def test_engine_requires_grammar_or_plan(self, grammar, dense):
+        # An engine is a plan bound to a V that covers its value ids.
+        plan = MvmPlan.from_grammar(grammar, dense.shape[1])
         with pytest.raises(MatrixFormatError):
-            MvmEngine(None)
+            MvmEngine(plan, np.ones(plan.n_values - 1))
 
 
 class TestPlanCache:
@@ -159,7 +157,8 @@ class TestPlanRetention:
         assert m.resident_overhead_bytes() == 0
         m.enable_plan_retention(True)
         charged = m.resident_overhead_bytes()
-        assert charged == 8 * (m.c_length + 6 * m.n_rules)
+        q, n = m.n_rules, dense.shape[0]
+        assert charged == 16 * (2 * q + m.c_length - n) + 4 * (q + n + 1)
         m.enable_plan_retention(False)
         assert m.resident_overhead_bytes() == 0
 

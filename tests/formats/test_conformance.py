@@ -29,6 +29,19 @@ BUILD_OPTS = {
 }
 
 
+#: Edge inputs every format must multiply exactly like dense: for the
+#: grammar variants, a grammar without rules (q = 0), rows with no
+#: entries between their separators, and a deep chain of shared rules.
+EDGE_MATRICES = {
+    "rule_free": np.array([[1.0, 2.0], [3.0, 4.0]]),
+    "all_empty_rows": np.zeros((5, 4)),
+    "empty_rows_between": np.array(
+        [[0.0, 0.0, 0.0], [1.5, 1.5, 0.0], [0.0, 0.0, 0.0], [1.5, 1.5, 0.0]]
+    ),
+    "repeated_row": np.tile(np.array([[1.5, 2.5, 1.5, 2.5, 1.5, 2.5]]), (9, 1)),
+}
+
+
 @pytest.fixture(scope="module")
 def dense():
     rng = np.random.default_rng(987)
@@ -196,3 +209,55 @@ class TestBatchDispatch:
             assert np.allclose(
                 batch_right_multiply(matrix, X, executor=ex), dense @ X
             )
+
+
+class TestEdgeInputs:
+    """Degenerate matrices and awkward operands, against dense."""
+
+    @pytest.mark.parametrize("case", sorted(EDGE_MATRICES))
+    @pytest.mark.parametrize("name", FORMAT_NAMES)
+    def test_edge_matrices(self, name, case):
+        edge = EDGE_MATRICES[case]
+        opts = BUILD_OPTS.get(name, {})
+        if "n_blocks" in opts:
+            opts = {**opts, "n_blocks": 2}
+        matrix = repro.compress(edge, format=name, **opts)
+        rng = np.random.default_rng(7)
+        for k in (1, 2, 64):
+            X = rng.standard_normal((edge.shape[1], k))
+            Y = rng.standard_normal((edge.shape[0], k))
+            assert np.allclose(matrix.right_multiply_matrix(X), edge @ X)
+            assert np.allclose(matrix.left_multiply_matrix(Y), edge.T @ Y)
+        x, y = X[:, 0], Y[:, 0]
+        assert np.allclose(matrix.right_multiply(x), edge @ x)
+        assert np.allclose(matrix.left_multiply(y), y @ edge)
+
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    def test_fortran_and_readonly_mmap_operands(self, built, dense, k, tmp_path):
+        _, matrix = built
+        rng = np.random.default_rng(8)
+        operands = {}
+        for side, rows in (("x", dense.shape[1]), ("y", dense.shape[0])):
+            np.save(tmp_path / f"{side}.npy", np.asfortranarray(
+                rng.standard_normal((rows, k))
+            ))
+            operands[side] = np.load(tmp_path / f"{side}.npy", mmap_mode="r")
+            assert operands[side].flags.f_contiguous or k == 1
+            assert not operands[side].flags.writeable
+        X, Y = operands["x"], operands["y"]
+        assert np.allclose(matrix.right_multiply_matrix(X), dense @ X)
+        assert np.allclose(matrix.left_multiply_matrix(Y), dense.T @ Y)
+        # Strided read-only single vectors.
+        assert np.allclose(matrix.right_multiply(X[:, -1]), dense @ X[:, -1])
+        assert np.allclose(matrix.left_multiply(Y[:, -1]), Y[:, -1] @ dense)
+
+
+class TestPlanAccounting:
+    @pytest.mark.parametrize("variant", ["re_32", "re_iv", "re_ans"])
+    def test_resident_estimate_tracks_the_built_plan(self, dense, variant):
+        """The build-independent overhead estimate is within 10 % of
+        what the retained plan and its bound weights actually hold."""
+        matrix = repro.compress(dense, format=variant)
+        matrix.enable_plan_retention(True)
+        held = matrix._get_engine().nbytes
+        assert abs(matrix.resident_overhead_bytes() - held) <= 0.10 * held

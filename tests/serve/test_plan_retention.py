@@ -50,7 +50,8 @@ class TestRegistryPlanRetention:
             with_plans.resident_bytes == without.resident_bytes + overhead
         )
         # The charge equals the documented estimate formula.
-        assert overhead == 8 * (m_with.c_length + 6 * m_with.n_rules)
+        q, n = m_with.n_rules, m_with.shape[0]
+        assert overhead == 16 * (2 * q + m_with.c_length - n) + 4 * (q + n + 1)
 
     def test_resident_estimate_includes_plan(self, iv_store):
         root, _ = iv_store
@@ -114,3 +115,30 @@ class TestRegistryPlanRetention:
         assert all(b.plan_retained for b in matrix.blocks)
         x = np.ones(dense.shape[1])
         np.testing.assert_allclose(matrix.right_multiply(x), dense @ x)
+
+
+class TestSharedGrammarDistinctValues:
+    def test_a_and_2a_share_a_plan_but_not_values(self, tmp_path, rng):
+        """A and 2A have one grammar (same storage bytes, same
+        fingerprint) and different V: the cached plan must not carry
+        either matrix's values."""
+        from repro.core.gcm import plan_cache
+
+        dense = make_structured(rng, n=60, m=10)
+        for name, scale in (("a", 1.0), ("twice_a", 2.0)):
+            save_matrix(
+                GrammarCompressedMatrix.compress(scale * dense, variant="re_iv"),
+                tmp_path / f"{name}.gcmx",
+            )
+        registry = MatrixRegistry(root=tmp_path)
+        a, twice_a = registry.get("a"), registry.get("twice_a")
+        assert a.grammar_fingerprint() == twice_a.grammar_fingerprint()
+        x = rng.standard_normal(dense.shape[1])
+        Y = rng.standard_normal((dense.shape[0], 3))
+        np.testing.assert_allclose(a.right_multiply(x), dense @ x)
+        hits = plan_cache().hits
+        np.testing.assert_allclose(twice_a.right_multiply(x), 2.0 * dense @ x)
+        assert plan_cache().hits == hits + 1
+        np.testing.assert_allclose(a.left_multiply_matrix(Y), dense.T @ Y)
+        np.testing.assert_allclose(twice_a.left_multiply_matrix(Y), 2.0 * dense.T @ Y)
+        assert a._get_engine().plan is twice_a._get_engine().plan

@@ -1,8 +1,12 @@
 """End-to-end HTTP tests for the serving engine."""
 
+import http.client
 import json
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
+from statistics import median
 
 import numpy as np
 import pytest
@@ -58,6 +62,24 @@ class TestEndpoints:
         server, _ = serving
         status, body = _get(f"{server.url}/healthz")
         assert status == 200 and body["status"] == "ok"
+
+    def test_keep_alive_replies_do_not_wait_for_delayed_acks(self, serving):
+        # Without TCP_NODELAY every small reply on a kept-alive
+        # connection stalls on the client's delayed ACK (40 ms on Linux).
+        server, _ = serving
+        url = urllib.parse.urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read())["status"] == "ok"
+                times.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert median(times) < 0.020, times
 
     def test_matrices_lists_both_without_loading(self, serving):
         server, matrices = serving
