@@ -35,7 +35,7 @@ from repro.cla import CLAMatrix
 from repro.core.blocked import BlockedMatrix
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import GrammarCompressedMatrix
-from repro.serve.batch import batch_right_multiply, looped_right_multiply
+from repro.serve.batch import batch_right_multiply
 
 try:
     from benchmarks.conftest import bench_matrix
@@ -69,6 +69,19 @@ def build(matrix: np.ndarray, fmt: str):
         raise ValueError(fmt)
     compressed.enable_plan_retention(True)
     return compressed
+
+
+def looped_right_multiply(matrix, panel: np.ndarray) -> np.ndarray:
+    """``k`` single MVMs in a Python loop — the pre-batching baseline.
+
+    Every call re-pays the per-call fixed costs (operand checks, one
+    pass of the kernel per vector) that :func:`batch_right_multiply`
+    pays once for the whole ``(m, k)`` panel.
+    """
+    return np.stack(
+        [matrix.right_multiply(panel[:, j]) for j in range(panel.shape[1])],
+        axis=1,
+    )
 
 
 def _best_seconds(fn, repeats: int = 3) -> float:

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.bench.memory import peak_mvm_bytes, peak_mvm_pct
 from repro.errors import MatrixFormatError
+from repro.shard.matrix import LazyShardedMatrix, ShardedMatrix
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ def run_iterations(
         ``"simulated"`` multiplies blocks sequentially and reports the
         LPT-schedule makespan on ``threads`` workers, the model the
         multithread benchmarks use to reproduce the paper's Figure
-        3/Table 2 timing shape.  Only blocked matrices distinguish the
-        three.
+        3/Table 2 timing shape.  Only row-partitioned (blocked or
+        sharded) matrices distinguish the three.
     """
     n, m = matrix.shape
     if iterations < 1:
@@ -103,9 +104,10 @@ def run_iterations(
             f"unknown parallel_model {parallel_model!r}; "
             "expected 'threads', 'simulated' or 'executor'"
         )
-    simulate = parallel_model == "simulated" and hasattr(matrix, "blocks")
+    partitioned = isinstance(matrix, (ShardedMatrix, LazyShardedMatrix))
+    simulate = parallel_model == "simulated" and partitioned
     executor = None
-    if parallel_model == "executor" and hasattr(matrix, "blocks"):
+    if parallel_model == "executor" and partitioned:
         from repro.serve.executor import BlockExecutor
 
         executor = BlockExecutor(workers=threads)

@@ -1,13 +1,13 @@
 """LPT schedule modelling for the multithread timing benchmarks.
 
-.. deprecated:: the *execution* half of this module now lives in
-   :mod:`repro.serve.executor`.  The seed reproduction could only
-   simulate the paper's multithread timings (Figure 3, Tables 2 and 4)
-   because the numpy kernels hold the GIL; the serving subsystem added
-   a real :class:`~repro.serve.executor.BlockExecutor` pool, and the
-   functions here now delegate their per-block execution to it (run
-   sequentially, ``workers=1``, so each block's duration is measured
-   in isolation).
+The seed reproduction could only simulate the paper's multithread
+timings (Figure 3, Tables 2 and 4) because the numpy kernels hold the
+GIL.  The real pool is :class:`~repro.serve.executor.BlockExecutor`;
+the simulated multiplies here run each row block or shard of a
+:class:`~repro.shard.ShardedMatrix` (a
+:class:`~repro.core.blocked.BlockedMatrix` included) through it
+sequentially (``workers=1``), so each part's duration is measured in
+isolation.
 
 What remains native here is the *model*: :func:`lpt_makespan`
 schedules measured per-block durations onto ``t`` ideal workers with
@@ -67,26 +67,24 @@ def timed_block_map(blocks: Sequence, fn: Callable) -> tuple[list, list[float]]:
     return results, durations
 
 
-def simulated_right_multiply(blocked, x: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """``y = M x`` over a BlockedMatrix with per-block timing."""
+def simulated_right_multiply(matrix, x: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """``y = M x`` over a row-partitioned matrix with per-part timing."""
     x = np.asarray(x, dtype=np.float64).ravel()
     parts, durations = timed_block_map(
-        blocked.blocks, lambda b, _i: b.right_multiply(x)
+        matrix.shards, lambda s, _i: s.right_multiply(x)
     )
     return np.concatenate(parts), durations
 
 
-def simulated_left_multiply(blocked, y: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """``xᵗ = yᵗ M`` over a BlockedMatrix with per-block timing."""
-    from repro.serve.executor import _block_offsets
-
+def simulated_left_multiply(matrix, y: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """``xᵗ = yᵗ M`` over a row-partitioned matrix with per-part timing."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    offsets = _block_offsets(blocked)
+    offsets = matrix.row_offsets
     parts, durations = timed_block_map(
-        blocked.blocks,
-        lambda b, i: b.left_multiply(y[offsets[i] : offsets[i + 1]]),
+        matrix.shards,
+        lambda s, i: s.left_multiply(y[offsets[i] : offsets[i + 1]]),
     )
-    out = np.zeros(blocked.shape[1], dtype=np.float64)
+    out = np.zeros(matrix.shape[1], dtype=np.float64)
     for p in parts:
         out += p
     return out, durations

@@ -11,10 +11,10 @@
    :class:`repro.serve.executor.BlockExecutor`, mirroring CLA's
    multithreaded executor — and accumulate into shared output vectors.
 
-Parallelism routes through the same ``BlockExecutor`` the blocked
-grammar matrices use (the serving layer passes one persistent pool via
-``executor=``; a bare ``threads=N`` spins up a short-lived one), so the
-whole package has exactly one pool implementation.
+Parallelism routes through the same ``BlockExecutor`` the row-sharded
+and blocked matrices use (the serving layer passes one persistent pool
+via ``executor=``; a bare ``threads=N`` spins up a short-lived one), so
+the whole package has exactly one pool implementation.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.errors import MatrixFormatError
 from repro.formats.base import MatrixFormat
 
 
-# -- module-level partials (picklable, so process executors can run them) -------------
+# -- per-group workers, mapped over the groups by a BlockExecutor ---------------------
 
 
 def _right_group_partial(group, _i: int, x: np.ndarray, n_rows: int) -> np.ndarray:
@@ -167,8 +167,7 @@ class CLAMatrix(MatrixFormat):
 
         A caller-provided executor (the serving layer's persistent
         pool) is used as-is; a bare ``threads=N`` request spins up a
-        short-lived pool of that size.  ``fn`` must be picklable (a
-        module-level partial) so process pools work too.
+        short-lived pool of that size.
         """
         if executor is not None:
             return executor.map_blocks(fn, self._groups)

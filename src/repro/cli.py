@@ -16,8 +16,8 @@ Commands
 ``multiply FILE.gcmx X.npy``
     Compute ``y = Mx`` (or ``xᵗ = yᵗM`` with ``--left``) from the
     compressed file and print/save the result.  ``--workers N`` runs
-    the row blocks of a blocked matrix on a real
-    :class:`repro.serve.executor.BlockExecutor` pool.
+    the row blocks or shards of a partitioned matrix (or CLA's column
+    groups) on a real :class:`repro.serve.executor.BlockExecutor` pool.
 ``shard IN.npy OUT.gcmx``
     Split a dense matrix into row shards, compress each shard
     independently (``--format`` for one format everywhere, default
@@ -82,11 +82,12 @@ from repro.bench.harness import bench_formats
 from repro.core import repair
 from repro.bench.memory import peak_mvm_pct
 from repro.bench.reporting import format_table, ratio_pct
-from repro.core.blocked import BLOCK_FORMATS
+from repro.core.blocked import BLOCK_FORMATS, BlockedMatrix
 from repro.datasets import PROFILES, get_dataset, list_datasets
 from repro.errors import ReproError
 from repro.io.serialize import load_matrix, save_matrix
 from repro.reorder.pipeline import compress_with_reordering
+from repro.shard.matrix import ShardedMatrix
 
 #: Default formats benched by ``python -m repro bench`` — the paper's
 #: Table 2 line-up (every other registered format can be requested via
@@ -229,21 +230,16 @@ def _cmd_info(args) -> int:
     print(f"shape   : {n} x {m}")
     print(f"bytes   : {matrix.size_bytes():,} "
           f"({ratio_pct(matrix.size_bytes(), 8 * n * m):.2f}% of dense)")
-    if hasattr(matrix, "shard_formats"):
+    if isinstance(matrix, ShardedMatrix):
         kinds: dict[str, int] = {}
         for label in matrix.shard_formats:
             kinds[label] = kinds.get(label, 0) + 1
-        print(f"shards  : {matrix.n_shards} ({kinds})")
+        parts = "blocks" if isinstance(matrix, BlockedMatrix) else "shards"
+        print(f"{parts:<8}: {matrix.n_shards} ({kinds})")
     if hasattr(matrix, "variant"):
         print(f"variant : {matrix.variant}")
         print(f"|C|     : {matrix.c_length:,}")
         print(f"|R|     : {matrix.n_rules:,}")
-    if hasattr(matrix, "blocks") and not hasattr(matrix, "shard_formats"):
-        kinds: dict[str, int] = {}
-        for b in matrix.blocks:
-            label = getattr(b, "variant", "csrv")
-            kinds[label] = kinds.get(label, 0) + 1
-        print(f"blocks  : {matrix.n_blocks} ({kinds})")
     print(f"peak mem: {peak_mvm_pct(matrix, threads=1):.2f}% of dense during MVM")
     return 0
 

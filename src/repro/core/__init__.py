@@ -13,8 +13,9 @@ Modules
   compiled CSR (right) and CSC (left) mat-vec kernels.
 - :mod:`repro.core.gcm` — :class:`GrammarCompressedMatrix` with the three
   physical encodings ``re_32`` / ``re_iv`` / ``re_ans`` (Section 4).
-- :mod:`repro.core.blocked` — row-block partitioning and multithreaded
-  multiplication (Section 4.1).
+- :mod:`repro.core.blocked` — row-block partitioning over one shared
+  ``V`` (Section 4.1), multiplied by the row-shard scatter-gather of
+  :mod:`repro.shard.matrix`.
 - :mod:`repro.core.entropy` — empirical order-k entropy of integer
   sequences, used to check the paper's compression bound.
 """

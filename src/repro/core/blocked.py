@@ -1,4 +1,4 @@
-"""Row-block partitioned matrices with multithreaded multiplication.
+"""Row-block partitioned matrices: the paper's Section 4.1 layout.
 
 Section 4.1 of the paper splits an ``r × c`` matrix into ``b`` blocks of
 ``⌈r/b⌉`` consecutive rows, grammar-compresses each block independently
@@ -10,21 +10,24 @@ multiplications in parallel:
 - left multiplication is ``b`` independent block multiplications whose
   resulting row vectors are summed.
 
-:class:`BlockedMatrix` supports the grammar variants *and* plain
-``csrv`` blocks (the uncompressed baseline of Table 2), so the paper's
-multithreaded comparisons all run through the same code path.
+That is the scatter-gather of :class:`repro.shard.ShardedMatrix`, so
+:class:`BlockedMatrix` is a sharded matrix whose blocks share one ``V``:
+the multiply kernels, the ``threads``/``executor`` fan-out, plan
+retention and the shape checks are inherited.  What is its own is
+construction (grammar, plain ``csrv`` and per-block ``auto`` blocks —
+the uncompressed baseline of Table 2 runs through the same code path),
+size accounting with ``V`` counted once, and the ``blocked``
+serialization codec, which stores ``V`` once.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import GrammarCompressedMatrix, VARIANTS
 from repro.errors import MatrixFormatError
-from repro.formats.base import MatrixFormat
+from repro.shard.matrix import ShardedMatrix
 
 #: Representations accepted by :meth:`BlockedMatrix.compress`.
 #: ``auto`` picks the smallest of all formats per block — the Section
@@ -34,33 +37,20 @@ from repro.formats.base import MatrixFormat
 BLOCK_FORMATS = ("csrv",) + VARIANTS + ("auto",)
 
 
-class BlockedMatrix(MatrixFormat):
-    """A matrix stored as independently compressed row blocks.
+class BlockedMatrix(ShardedMatrix):
+    """A sharded matrix whose row blocks share one value array ``V``.
 
     Parameters
     ----------
     blocks:
         Per-block representations (``CSRVMatrix`` or
-        ``GrammarCompressedMatrix``), covering consecutive row ranges.
+        ``GrammarCompressedMatrix``) over one shared ``V``, covering
+        consecutive row ranges.
     shape:
         Overall ``(n_rows, n_cols)``.
     """
 
     format_name = "blocked"
-
-    def __init__(self, blocks: list, shape: tuple[int, int]):
-        if not blocks:
-            raise MatrixFormatError("BlockedMatrix requires at least one block")
-        self._blocks = list(blocks)
-        self._shape = (int(shape[0]), int(shape[1]))
-        rows = sum(b.shape[0] for b in self._blocks)
-        if rows != self._shape[0]:
-            raise MatrixFormatError(
-                f"blocks cover {rows} rows, expected {self._shape[0]}"
-            )
-        offsets = np.zeros(len(self._blocks) + 1, dtype=np.int64)
-        np.cumsum([b.shape[0] for b in self._blocks], out=offsets[1:])
-        self._offsets = offsets
 
     # -- construction -------------------------------------------------------------
 
@@ -202,30 +192,17 @@ class BlockedMatrix(MatrixFormat):
     # -- accessors ------------------------------------------------------------------
 
     @property
-    def shape(self) -> tuple[int, int]:
-        """``(n_rows, n_cols)``."""
-        return self._shape
-
-    @property
     def blocks(self) -> list:
         """The per-block representations (consecutive row ranges)."""
-        return list(self._blocks)
+        return self.shards
 
     @property
     def n_blocks(self) -> int:
         """Number of row blocks."""
-        return len(self._blocks)
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        """Row offsets of consecutive blocks: block ``i`` covers rows
-        ``row_offsets[i]:row_offsets[i+1]`` (length ``n_blocks + 1``)."""
-        view = self._offsets.view()
-        view.flags.writeable = False
-        return view
+        return self.n_shards
 
     def __repr__(self) -> str:
-        kind = type(self._blocks[0]).__name__
+        kind = type(self._shards[0]).__name__
         return (
             f"BlockedMatrix(shape={self._shape}, n_blocks={self.n_blocks}, "
             f"block_type={kind})"
@@ -246,7 +223,7 @@ class BlockedMatrix(MatrixFormat):
         contribute ``S``; an ``auto`` matrix can show all three.
         """
         parts = {"C": 0, "R": 0, "S": 0, "V": 0}
-        for i, block in enumerate(self._blocks):
+        for i, block in enumerate(self._shards):
             bd = block.size_breakdown()
             for key, value in bd.items():
                 if key == "V":
@@ -255,98 +232,3 @@ class BlockedMatrix(MatrixFormat):
                 else:
                     parts[key] += value
         return {k: v for k, v in parts.items() if v or k == "V"}
-
-    def resident_overhead_bytes(self) -> int:
-        """Summed working caches of the per-block representations."""
-        return sum(b.resident_overhead_bytes() for b in self._blocks)
-
-    def enable_plan_retention(self, retain: bool = True) -> bool:
-        """Forward plan retention to every block; ``True`` if any took it."""
-        # Materialized first: every block must see the call, so the
-        # short-circuiting ``any`` may not consume a lazy generator.
-        took = [b.enable_plan_retention(retain) for b in self._blocks]
-        return any(took)
-
-    def release_retained_plans(self) -> None:
-        """Forward plan release to every block (registry eviction path)."""
-        for b in self._blocks:
-            b.release_retained_plans()
-
-    def to_dense(self) -> np.ndarray:
-        """Expand all blocks back to one dense matrix (lossless)."""
-        return np.vstack([b.to_dense() for b in self._blocks])
-
-    # -- multiplication ----------------------------------------------------------------
-    #
-    # The public kernel surface (``right_multiply(x, threads=, executor=)``
-    # and friends) comes from :class:`repro.formats.MatrixFormat`; the
-    # hooks below distribute the per-block work.  ``executor``, when
-    # given, is a persistent :class:`repro.serve.executor.BlockExecutor`
-    # -style pool (any object with ``map_blocks(fn, blocks)``) replacing
-    # the per-call thread pool — the serving layer reuses one pool
-    # across requests instead of paying pool startup per multiply.
-
-    def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
-        """``y = M x``: block results are concatenated."""
-        parts = self._map_blocks(lambda b: b.right_multiply(x), threads, executor)
-        return np.concatenate(parts)
-
-    def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
-        """``xᵗ = yᵗ M``: per-block row vectors are summed."""
-        slices = [
-            y[self._offsets[i] : self._offsets[i + 1]]
-            for i in range(self.n_blocks)
-        ]
-        parts = self._map_blocks_indexed(
-            lambda b, i: b.left_multiply(slices[i]), threads, executor
-        )
-        out = np.zeros(self._shape[1], dtype=np.float64)
-        for p in parts:
-            out += p
-        return out
-
-    def _right_panel_kernel(self, threads: int, executor):
-        """Each block writes its rows straight into a disjoint slice of
-        the preallocated panel — concurrent workers never overlap."""
-
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            self._map_blocks_indexed(
-                lambda b, i: b.right_multiply_matrix(
-                    panel, out=out[self._offsets[i] : self._offsets[i + 1]]
-                ),
-                threads,
-                executor,
-            )
-
-        return kernel
-
-    def _left_panel_kernel(self, threads: int, executor):
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            parts = self._map_blocks_indexed(
-                lambda b, i: b.left_multiply_matrix(
-                    panel[self._offsets[i] : self._offsets[i + 1]]
-                ),
-                threads,
-                executor,
-            )
-            out[:] = 0.0
-            for p in parts:
-                out += p
-
-        return kernel
-
-    def _map_blocks(self, fn, threads: int, executor=None) -> list:
-        return self._map_blocks_indexed(lambda b, _i: fn(b), threads, executor)
-
-    def _map_blocks_indexed(self, fn, threads: int, executor=None) -> list:
-        if executor is not None:
-            return executor.map_blocks(fn, self._blocks)
-        if threads < 1:
-            raise MatrixFormatError(f"threads must be >= 1, got {threads}")
-        if threads == 1 or self.n_blocks == 1:
-            return [fn(b, i) for i, b in enumerate(self._blocks)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(fn, b, i) for i, b in enumerate(self._blocks)
-            ]
-            return [f.result() for f in futures]

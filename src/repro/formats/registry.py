@@ -7,8 +7,8 @@ instance instead of hard-coding type checks:
 
 - :func:`repro.formats.compress` builds any format by name;
 - :mod:`repro.io.serialize` maps kind tags ↔ payload codecs;
-- :mod:`repro.serve.batch` queries capabilities (``supports_executor``)
-  instead of ``isinstance`` chains;
+- the CLI queries capabilities (``supports_executor``) instead of
+  ``isinstance`` chains;
 - the CLI and benchmark harness derive their format choices from
   :func:`available`.
 

@@ -10,17 +10,13 @@ frames below ``/multiply`` attaches its span without any signature
 growing a ``trace=`` parameter.
 
 Crossing an executor needs explicit carriage because pool workers run
-on other threads (or other *processes*):
+on other threads:
 
 - :func:`capture_context` snapshots the ambient ``(trace, span)`` into
-  a picklable :class:`TraceContext`;
-- :func:`activate_context` re-establishes it in the worker.  Same
-  process → the worker's spans attach to the submitting request's
-  trace as children of the submitting span.  Across a process boundary
-  the live trace object cannot travel (pickling drops it), so the
-  worker *degrades* to a fresh root trace that carries the parent's
-  trace id with ``degraded=True`` — the id still correlates log lines,
-  but the child spans stay in the worker process.
+  a :class:`TraceContext`;
+- :func:`activate_context` re-establishes it in the worker, so the
+  worker's spans attach to the submitting request's trace as children
+  of the submitting span.
 
 When no trace is active every instrumentation point costs one shared
 no-op span — the warm-path overhead the ``obs_overhead`` bench gate
@@ -147,19 +143,12 @@ class Trace:
     """One request's (or job's) span tree.
 
     ``trace_id`` may be supplied to continue an id minted elsewhere (a
-    job carrying its submission's id across processes); ``degraded``
-    marks a trace reconstructed on the far side of a process boundary.
+    job carrying its submission's id onto its worker).
     """
 
-    def __init__(
-        self,
-        name: str = "request",
-        trace_id: str | None = None,
-        degraded: bool = False,
-    ) -> None:
+    def __init__(self, name: str = "request", trace_id: str | None = None) -> None:
         self.trace_id = trace_id or new_trace_id()
         self.name = name
-        self.degraded = degraded
         self.started_at = time.time()
         self._t0 = time.perf_counter()
         self._lock = threading.Lock()
@@ -196,7 +185,7 @@ class Trace:
     def to_payload(self) -> dict[str, Any]:
         with self._lock:
             spans = list(self._spans)
-        out: dict[str, Any] = {
+        return {
             "trace_id": self.trace_id,
             "name": self.name,
             "started_at": self.started_at,
@@ -205,9 +194,6 @@ class Trace:
             ),
             "spans": [s.to_payload() for s in spans],
         }
-        if self.degraded:
-            out["degraded"] = True
-        return out
 
 
 # -- ambient scope (thread-local, like resilience.policy._DEADLINES) ------------------
@@ -323,40 +309,14 @@ def span(name: str, **attrs: Any) -> _SpanScope | _NullScope:
 
 
 class TraceContext:
-    """A picklable snapshot of the ambient ``(trace, span)``.
+    """A snapshot of the ambient ``(trace, span)`` for an executor hop."""
 
-    Within the submitting process the live trace object rides along
-    and workers attach spans to it directly; across a process boundary
-    pickling drops the object (``__getstate__``) and the worker side
-    reconstructs a *degraded* root trace that carries the same id.
-    """
+    __slots__ = ("trace_id", "span_id", "trace")
 
-    __slots__ = ("trace_id", "span_id", "name", "trace")
-
-    def __init__(
-        self,
-        trace_id: str,
-        span_id: str,
-        name: str,
-        trace: Trace | None,
-    ) -> None:
+    def __init__(self, trace_id: str, span_id: str, trace: Trace) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
-        self.name = name
         self.trace = trace
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "name": self.name,
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.trace_id = state["trace_id"]
-        self.span_id = state["span_id"]
-        self.name = state["name"]
-        self.trace = None
 
 
 def capture_context() -> TraceContext | None:
@@ -365,38 +325,26 @@ def capture_context() -> TraceContext | None:
     if not stack:
         return None
     trace, span_obj = stack[-1]
-    return TraceContext(trace.trace_id, span_obj.span_id, trace.name, trace)
+    return TraceContext(trace.trace_id, span_obj.span_id, trace)
 
 
 @contextlib.contextmanager
 def activate_context(ctx: TraceContext | None) -> Iterator[Trace | None]:
-    """Re-establish a captured context on a worker thread/process.
+    """Re-establish a captured context on a worker thread.
 
-    With the live trace reference (same-process thread pools) the
-    worker's spans join the original trace as children of the
-    submitting span.  Without it (the context was pickled across a
-    process boundary) a fresh *degraded* root trace is created carrying
-    the parent's trace id — the documented downgrade asserted by the
-    propagation tests.
+    The worker's spans join the original trace as children of the
+    submitting span.
     """
     if ctx is None:
         yield None
         return
     trace = ctx.trace
-    if trace is not None:
-        stack = _stack()
-        stack.append((trace, trace.find_span(ctx.span_id) or trace.root))
-        try:
-            yield trace
-        finally:
-            stack.pop()
-        return
-    degraded = Trace(name=ctx.name, trace_id=ctx.trace_id, degraded=True)
-    with trace_scope(degraded):
-        try:
-            yield degraded
-        finally:
-            degraded.finish()
+    stack = _stack()
+    stack.append((trace, trace.find_span(ctx.span_id) or trace.root))
+    try:
+        yield trace
+    finally:
+        stack.pop()
 
 
 # -- retention and export sinks ------------------------------------------------------

@@ -8,9 +8,10 @@ production-scale direction:
   loading and byte-budgeted LRU eviction;
 - :mod:`repro.serve.batch` — batched panel multiplication (one kernel
   call for ``k`` vectors) across every representation;
-- :mod:`repro.serve.executor` — a real thread/process pool over the
-  row blocks of a :class:`~repro.core.blocked.BlockedMatrix`,
-  replacing the seed's simulated (LPT) parallelism;
+- :mod:`repro.serve.executor` — a persistent thread pool over the
+  row shards and blocks of a :class:`~repro.shard.ShardedMatrix` (and
+  CLA's column groups), replacing the seed's simulated (LPT)
+  parallelism;
 - :mod:`repro.serve.jobs` — asynchronous :mod:`repro.solve` jobs
   (submit a named algorithm, poll status/result/trace) running on
   background workers over the same registry and executor;
@@ -20,12 +21,7 @@ production-scale direction:
   percentiles for ``/stats``.
 """
 
-from repro.serve.batch import (
-    batch_left_multiply,
-    batch_right_multiply,
-    looped_left_multiply,
-    looped_right_multiply,
-)
+from repro.serve.batch import batch_left_multiply, batch_right_multiply
 from repro.serve.executor import BlockExecutor
 from repro.serve.jobs import JobManager
 from repro.serve.registry import MatrixRegistry
@@ -40,6 +36,4 @@ __all__ = [
     "ServeStats",
     "batch_left_multiply",
     "batch_right_multiply",
-    "looped_left_multiply",
-    "looped_right_multiply",
 ]

@@ -1,30 +1,22 @@
-"""Real parallel execution of per-block multiplications.
+"""A persistent thread pool for row-partitioned and column-group work.
 
 The seed reproduction *simulated* multithreading: it timed each row
 block sequentially and scheduled the durations with the LPT rule
-(:mod:`repro.bench.parallel`).  This module is the real counterpart —
-a persistent :class:`BlockExecutor` pool that multiplies the blocks of
-a :class:`repro.core.blocked.BlockedMatrix` concurrently.
+(:mod:`repro.bench.parallel`).  :class:`BlockExecutor` is the real
+counterpart — a thread pool built once and reused across requests that
+maps one callable over the parts of a matrix.  The matrices own their
+scatter-gather and call :meth:`BlockExecutor.map_blocks` when a caller
+passes ``executor=``: the row shards of a
+:class:`repro.shard.ShardedMatrix` (the Section 4.1 row blocks of a
+:class:`repro.core.blocked.BlockedMatrix` among them) and the column
+groups of a :class:`repro.cla.CLAMatrix`.
 
-Two pool kinds are supported, with honestly different trade-offs under
-CPython:
-
-``thread``
-    A ``ThreadPoolExecutor``.  No serialization cost and shared output
-    buffers (panel results are written into disjoint row slices of one
-    preallocated array), but the numpy gather/scatter kernels hold the
-    GIL for part of their runtime, so the speedup is bounded by how
-    much of the work releases it.
-``process``
-    A ``ProcessPoolExecutor``.  Sidesteps the GIL entirely at the cost
-    of pickling each block and its operands per call — worthwhile only
-    when blocks are large relative to the vectors.
-
-Unlike the per-call pool inside ``BlockedMatrix``, a ``BlockExecutor``
-is built once and reused across requests, which is what the serving
-layer needs: pool startup is paid at server start, not per multiply.
-``workers=1`` runs inline (no pool at all) — the timed sequential mode
-that the LPT simulation consumes.
+Pool startup is paid at server start, not per multiply.  Workers share
+output buffers (panel results are written into disjoint row slices of
+one preallocated array), but the numpy kernels hold the GIL for part of
+their runtime, so the speedup is bounded by how much of the work
+releases it.  ``workers=1`` runs inline (no pool at all) — the timed
+sequential mode that the LPT simulation consumes.
 """
 
 from __future__ import annotations
@@ -32,46 +24,20 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import MatrixFormatError
 from repro.obs.trace import TraceContext, activate_context, capture_context
-
-#: Pool kinds accepted by :class:`BlockExecutor`.
-POOL_KINDS = ("thread", "process")
-
-
-# -- module-level workers (picklable, so process pools can run them) ------------------
 
 
 def _call_in_context(ctx: TraceContext | None, fn, *args):
     """Run ``fn`` under a carried trace context (the executor-hop shim).
 
-    Module-level so process pools can pickle it; ``ctx`` pickles by
-    dropping its live trace reference, which is what downgrades
-    process-pool workers to a degraded root trace carrying the parent
-    trace id (thread pools keep the reference and attach directly).
+    Worker spans attach to the submitting request's trace as children
+    of the submitting span.
     """
     with activate_context(ctx):
         return fn(*args)
-
-
-def _right_one(block, x: np.ndarray) -> np.ndarray:
-    return block.right_multiply(x)
-
-
-def _left_one(block, y_slice: np.ndarray) -> np.ndarray:
-    return block.left_multiply(y_slice)
-
-
-def _right_panel_one(block, x_panel: np.ndarray) -> np.ndarray:
-    return block.right_multiply_matrix(x_panel)
-
-
-def _left_panel_one(block, y_slice: np.ndarray) -> np.ndarray:
-    return block.left_multiply_matrix(y_slice)
 
 
 def _timed_call(fn, block, i: int):
@@ -80,49 +46,28 @@ def _timed_call(fn, block, i: int):
     return result, time.perf_counter() - start
 
 
-def _block_offsets(blocked) -> np.ndarray:
-    """Row offsets of consecutive blocks: ``offsets[i]..offsets[i+1]``.
-
-    ``BlockedMatrix`` exposes its precomputed offsets; the cumsum
-    fallback keeps any duck-typed block container working.
-    """
-    offsets = getattr(blocked, "row_offsets", None)
-    if offsets is not None:
-        return offsets
-    sizes = [b.shape[0] for b in blocked.blocks]
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return offsets
-
-
 class BlockExecutor:
-    """A persistent worker pool for per-block multiplications.
+    """A persistent thread pool mapping a callable over matrix parts.
 
     Parameters
     ----------
     workers:
         Pool size; defaults to ``os.cpu_count()``.  ``1`` executes
         inline without creating a pool.
-    kind:
-        ``"thread"`` or ``"process"`` (see module docstring).
 
-    The executor is also accepted by every ``BlockedMatrix`` multiply
-    method via the ``executor=`` keyword, replacing the per-call pool.
-    Use as a context manager, or call :meth:`shutdown` explicitly.
+    Every registered format accepts the executor through the
+    ``executor=`` keyword of its multiply methods; formats without
+    parts to distribute ignore it.  Use as a context manager, or call
+    :meth:`shutdown` explicitly.
     """
 
-    def __init__(self, workers: int | None = None, kind: str = "thread"):
+    def __init__(self, workers: int | None = None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise MatrixFormatError(f"workers must be >= 1, got {workers}")
-        if kind not in POOL_KINDS:
-            raise MatrixFormatError(
-                f"unknown pool kind {kind!r}; expected one of {POOL_KINDS}"
-            )
         self._workers = int(workers)
-        self._kind = kind
-        self._pool = None
+        self._pool: ThreadPoolExecutor | None = None
         # Guards lazy creation: the server shares one executor across
         # request threads, and two simultaneous first requests must
         # not each build (and one leak) a pool.
@@ -135,23 +80,13 @@ class BlockExecutor:
         """Configured pool size."""
         return self._workers
 
-    @property
-    def kind(self) -> str:
-        """``"thread"`` or ``"process"``."""
-        return self._kind
-
     def __repr__(self) -> str:
-        return f"BlockExecutor(workers={self._workers}, kind={self._kind!r})"
+        return f"BlockExecutor(workers={self._workers})"
 
-    def _get_pool(self):
+    def _get_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                cls = (
-                    ThreadPoolExecutor
-                    if self._kind == "thread"
-                    else ProcessPoolExecutor
-                )
-                self._pool = cls(max_workers=self._workers)
+                self._pool = ThreadPoolExecutor(max_workers=self._workers)
             return self._pool
 
     def shutdown(self) -> None:
@@ -167,15 +102,10 @@ class BlockExecutor:
     def __exit__(self, *_exc) -> None:
         self.shutdown()
 
-    # -- generic mapping ---------------------------------------------------------
+    # -- mapping -----------------------------------------------------------------
 
     def map_blocks(self, fn, blocks) -> list:
-        """Apply ``fn(block, i)`` to every block; results in block order.
-
-        With ``kind="process"`` the callable must be picklable (a
-        module-level function) — ``BlockedMatrix``'s internal lambdas
-        require a thread executor.
-        """
+        """Apply ``fn(block, i)`` to every block; results in block order."""
         if self._workers == 1 or len(blocks) <= 1:
             return [fn(b, i) for i, b in enumerate(blocks)]
         pool = self._get_pool()
@@ -210,89 +140,3 @@ class BlockExecutor:
         results = [r for r, _ in pairs]
         durations = [d for _, d in pairs]
         return results, durations, wall
-
-    def _starmap(self, fn, argument_lists) -> list:
-        """Ordered ``fn(*args)`` over a picklable module-level ``fn``."""
-        if self._workers == 1 or len(argument_lists) <= 1:
-            return [fn(*args) for args in argument_lists]
-        pool = self._get_pool()
-        ctx = capture_context()
-        futures = [
-            pool.submit(_call_in_context, ctx, fn, *args)
-            for args in argument_lists
-        ]
-        return [f.result() for f in futures]
-
-    # -- blocked-matrix multiplication --------------------------------------------
-
-    def right_multiply(self, blocked, x: np.ndarray) -> np.ndarray:
-        """``y = M x`` with blocks multiplied concurrently."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.size != blocked.shape[1]:
-            raise MatrixFormatError(
-                f"x has length {x.size}, expected {blocked.shape[1]}"
-            )
-        parts = self._starmap(_right_one, [(b, x) for b in blocked.blocks])
-        return np.concatenate(parts)
-
-    def left_multiply(self, blocked, y: np.ndarray) -> np.ndarray:
-        """``xᵗ = yᵗ M``; per-block row vectors are summed."""
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if y.size != blocked.shape[0]:
-            raise MatrixFormatError(
-                f"y has length {y.size}, expected {blocked.shape[0]}"
-            )
-        offsets = _block_offsets(blocked)
-        parts = self._starmap(
-            _left_one,
-            [
-                (b, y[offsets[i] : offsets[i + 1]])
-                for i, b in enumerate(blocked.blocks)
-            ],
-        )
-        out = np.zeros(blocked.shape[1], dtype=np.float64)
-        for p in parts:
-            out += p
-        return out
-
-    def right_multiply_panel(self, matrix, x_panel: np.ndarray) -> np.ndarray:
-        """``Y = M X`` for an ``(m, k)`` panel, block work in parallel.
-
-        Thread pools run the matrix's own panel kernel with this
-        executor threaded through — row-blocked matrices write each
-        block straight into a disjoint slice of one preallocated
-        output (no per-block copy), group-parallel matrices (CLA) fan
-        their groups out over the same pool.  Process pools need
-        picklable module-level workers, so row-blocked matrices take
-        the explicit per-block path; other formats hand the executor to
-        their kernel, which maps picklable partials over it.
-        """
-        x_panel = np.asarray(x_panel, dtype=np.float64)
-        if x_panel.ndim == 1:
-            x_panel = x_panel[:, None]
-        if self._kind == "thread" or not hasattr(matrix, "blocks"):
-            return matrix.right_multiply_matrix(x_panel, executor=self)
-        parts = self._starmap(
-            _right_panel_one, [(b, x_panel) for b in matrix.blocks]
-        )
-        return np.vstack(parts)
-
-    def left_multiply_panel(self, matrix, y_panel: np.ndarray) -> np.ndarray:
-        """``Xᵗ = Yᵗ M`` for an ``(n, k)`` panel, block work in parallel."""
-        y_panel = np.asarray(y_panel, dtype=np.float64)
-        if y_panel.ndim == 1:
-            y_panel = y_panel[:, None]
-        if self._kind == "thread" or not hasattr(matrix, "blocks"):
-            return matrix.left_multiply_matrix(y_panel, executor=self)
-        offsets = _block_offsets(matrix)
-        parts = self._starmap(
-            _left_panel_one,
-            [
-                (b, y_panel[offsets[i] : offsets[i + 1]])
-                for i, b in enumerate(matrix.blocks)
-            ],
-        )
-        out = np.zeros((matrix.shape[1], y_panel.shape[1]), dtype=np.float64)
-        for p in parts:
-            out += p
-        return out

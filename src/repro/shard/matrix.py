@@ -1,12 +1,16 @@
-"""Row-sharded matrices: independent per-shard compression, scatter-gather MVM.
+"""Row-partitioned matrices: per-part compression, one scatter-gather MVM.
 
-Two representations share the scatter-gather kernels:
+Every row-partitioned representation multiplies through the kernels of
+this module:
 
 :class:`ShardedMatrix`
     The in-memory form — a list of fully materialised per-shard
     representations (any registered format, mixed freely).  Registered
     with the format registry as ``"sharded"``, so it serializes,
     serves, benches, and conformance-tests like every other format.
+    The paper's Section 4.1 row blocks are its subclass
+    :class:`repro.core.blocked.BlockedMatrix`, whose blocks share one
+    value array ``V``.
 
 :class:`LazyShardedMatrix`
     The serving form — holds only the container file's shard manifest
@@ -16,19 +20,18 @@ Two representations share the scatter-gather kernels:
     the loaded set fits, so the serving registry evicts *shards*, not
     whole matrices.
 
-Multiplication is scatter-gather over the row partition, exactly like
-the paper's Section 4.1 row blocks, but each shard is a first-class
-format instance: right multiplication fans the operand out to every
-shard and concatenates the per-shard results; left multiplication
-slices the operand by shard row range and sums the per-shard row
-vectors.  ``threads``/``executor`` distribute the per-shard work over
-a pool (:class:`repro.serve.executor.BlockExecutor` compatible).
+Multiplication is scatter-gather over the row partition: right
+multiplication fans the operand out to every shard and concatenates
+the per-shard results; left multiplication slices the operand by shard
+row range and sums the per-shard row vectors.  ``executor`` (a
+persistent :class:`repro.serve.executor.BlockExecutor`) or
+``threads > 1`` (a pool for the one call) run the per-shard work
+concurrently.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from repro.errors import (
 )
 from repro.formats.base import MatrixFormat
 from repro.obs.metrics import Counter
-from repro.obs.trace import activate_context, add_event, capture_context, span
+from repro.obs.trace import add_event, span
 from repro.resilience import faults as _faults
 from repro.resilience.policy import (
     STATE_CLOSED,
@@ -100,12 +103,6 @@ class _ShardFanout(MatrixFormat):
         """Every shard representation, in row order."""
         return self._all_shards()
 
-    #: Alias so block-aware executors (``BlockExecutor``'s panel paths)
-    #: treat a sharded matrix exactly like a row-blocked one.
-    @property
-    def blocks(self) -> list:
-        return self._all_shards()
-
     def _shard(self, i: int):
         raise NotImplementedError
 
@@ -120,29 +117,21 @@ class _ShardFanout(MatrixFormat):
     def _map_shards(self, fn, threads: int, executor) -> list:
         """``fn(shard, i)`` over every shard, results in row order.
 
-        The parallel paths need every shard in memory at once; the
-        sequential path visits shards one at a time and calls
-        :meth:`_after_shard` between them, which is where the lazy form
-        streams cold shards back out so one request never holds more
-        than the shard byte budget (plus the shard in flight).
+        The parallel paths — the caller's ``executor``, or a pool of
+        ``threads`` workers for this one call — need every shard in
+        memory at once; the sequential path visits shards one at a
+        time and calls :meth:`_after_shard` between them, which is
+        where the lazy form streams cold shards back out so one request
+        never holds more than the shard byte budget (plus the shard in
+        flight).
         """
         if executor is not None:
             return executor.map_blocks(fn, self._all_shards())
         if threads > 1 and self.n_shards > 1:
-            shards = self._all_shards()
-            # Carry the ambient trace onto the pool threads so per-shard
-            # spans attach to the submitting request.
-            ctx = capture_context()
+            from repro.serve.executor import BlockExecutor
 
-            def _traced(shard: object, i: int) -> object:
-                with activate_context(ctx):
-                    return fn(shard, i)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_traced, s, i) for i, s in enumerate(shards)
-                ]
-                return [f.result() for f in futures]
+            with BlockExecutor(threads) as pool:
+                return pool.map_blocks(fn, self._all_shards())
         results = []
         for i in range(self.n_shards):
             results.append(fn(self._shard(i), i))
@@ -221,11 +210,11 @@ class _ShardFanout(MatrixFormat):
 class ShardedMatrix(_ShardFanout):
     """A matrix stored as independently compressed row shards.
 
-    Unlike :class:`repro.core.blocked.BlockedMatrix` — whose blocks
-    share one value dictionary and one grammar configuration — every
-    shard here is a complete, self-contained representation of its row
-    slice, and shards may mix formats freely (``csr`` for the sparse
-    stripe, ``re_ans`` for the repetitive one, ...).
+    Every shard is a complete, self-contained representation of its
+    row slice, and shards may mix formats freely (``csr`` for the
+    sparse stripe, ``re_ans`` for the repetitive one, ...).  The
+    subclass :class:`repro.core.blocked.BlockedMatrix` is the paper's
+    Section 4.1 layout, whose blocks share one value array ``V``.
 
     Parameters
     ----------
@@ -238,7 +227,9 @@ class ShardedMatrix(_ShardFanout):
 
     def __init__(self, shards: list, shape: tuple[int, int]):
         if not shards:
-            raise MatrixFormatError("ShardedMatrix requires at least one shard")
+            raise MatrixFormatError(
+                f"{type(self).__name__} requires at least one part"
+            )
         self._shards = list(shards)
         self._shape = (int(shape[0]), int(shape[1]))
         for s in self._shards:
@@ -320,18 +311,18 @@ def build_sharded(
             f"plan is for shape {plan.shape}, matrix has {dense.shape}"
         )
 
-    def build_one(spec, _i=None):
+    def build_one(spec, _i):
         block = dense[spec.row_start : spec.row_stop]
         return _registry.compress(block, format=spec.format, **spec.build_opts)
 
     specs = list(plan.shards)
     if executor is not None:
-        shards = executor.map_blocks(lambda spec, _i: build_one(spec), specs)
-    elif workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = [f.result() for f in [pool.submit(build_one, s) for s in specs]]
+        shards = executor.map_blocks(build_one, specs)
     else:
-        shards = [build_one(s) for s in specs]
+        from repro.serve.executor import BlockExecutor
+
+        with BlockExecutor(max(1, workers)) as pool:
+            shards = pool.map_blocks(build_one, specs)
     return ShardedMatrix(shards, plan.shape)
 
 

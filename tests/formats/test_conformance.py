@@ -200,15 +200,32 @@ class TestBatchDispatch:
         assert np.allclose(batch_left_multiply(matrix, Y), dense.T @ Y)
 
     def test_batch_with_executor(self, built, dense):
-        from repro.serve.batch import batch_right_multiply
+        from repro.serve.batch import batch_left_multiply, batch_right_multiply
         from repro.serve.executor import BlockExecutor
 
         _, matrix = built
+        rng = np.random.default_rng(9)
         X = np.ones((dense.shape[1], 3))
+        X5 = rng.standard_normal((dense.shape[1], 5))
+        Y5 = rng.standard_normal((dense.shape[0], 5))
         with BlockExecutor(2) as ex:
             assert np.allclose(
                 batch_right_multiply(matrix, X, executor=ex), dense @ X
             )
+            # Chunked requests run each format's own chunked kernel.
+            for panel_width in (None, 2):
+                assert np.allclose(
+                    batch_right_multiply(
+                        matrix, X5, executor=ex, panel_width=panel_width
+                    ),
+                    dense @ X5,
+                )
+                assert np.allclose(
+                    batch_left_multiply(
+                        matrix, Y5, executor=ex, panel_width=panel_width
+                    ),
+                    dense.T @ Y5,
+                )
 
 
 class TestEdgeInputs:

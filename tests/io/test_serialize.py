@@ -6,7 +6,7 @@ import pytest
 from repro.core.blocked import BlockedMatrix
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import VARIANTS, GrammarCompressedMatrix
-from repro.errors import SerializationError
+from repro.errors import ReproError, SerializationError
 from repro.io.serialize import load_matrix, loads_matrix, save_matrix, saves_matrix
 
 
@@ -70,6 +70,35 @@ class TestRoundtrip:
 
 
 class TestErrorHandling:
+    def test_blocked_block_of_wrong_width_rejected(self):
+        # A blocked payload whose second block has 3 columns under a
+        # 4-column header: the load must fail typed, not the first
+        # multiply with a bare numpy broadcast error.
+        from repro.io.serialize import (
+            KIND_BLOCKED,
+            KIND_GCM,
+            _header,
+            _put_floats,
+            _put_shape,
+            encode_uvarint,
+            gcm_payload,
+        )
+
+        top = GrammarCompressedMatrix.compress(np.array([[1.0, 2.0, 1.0, 2.0]] * 2))
+        narrow = GrammarCompressedMatrix.compress(np.array([[1.0, 2.0, 1.0]] * 2))
+        blob = (
+            _header(KIND_BLOCKED)
+            + _put_shape((4, 4))
+            + encode_uvarint(2)
+            + _put_floats(top.values)
+            + bytes([KIND_GCM])
+            + gcm_payload(top, include_values=False)
+            + bytes([KIND_GCM])
+            + gcm_payload(narrow, include_values=False)
+        )
+        with pytest.raises(ReproError):
+            loads_matrix(blob)
+
     def test_bad_magic(self):
         with pytest.raises(SerializationError):
             loads_matrix(b"NOPE" + b"\x00" * 10)

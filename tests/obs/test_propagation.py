@@ -1,24 +1,18 @@
 """Trace-context carriage across executor hops.
 
-Thread pools receive the live trace object, so worker spans join the
-submitting request's tree as children of the submitting span.  Process
-pools cannot (pickling drops the object), so the worker degrades to a
-fresh root trace carrying the parent's trace id with
-``degraded=True`` — the documented downgrade, asserted here.
+Pool workers receive the live trace object, so worker spans join the
+submitting request's tree as children of the submitting span.
 """
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro.core.blocked import BlockedMatrix
 from repro.obs.trace import (
     Trace,
-    TraceContext,
     activate_context,
     capture_context,
     current_trace,
@@ -40,15 +34,6 @@ class TestCaptureContext:
         assert ctx.trace_id == trace.trace_id
         assert ctx.span_id == sp.span_id
         assert ctx.trace is trace
-
-    def test_pickle_drops_the_live_trace(self):
-        trace = Trace(name="t")
-        with trace_scope(trace):
-            ctx = capture_context()
-        carried = pickle.loads(pickle.dumps(ctx))
-        assert carried.trace is None
-        assert carried.trace_id == trace.trace_id
-        assert carried.span_id == ctx.span_id
 
 
 class TestActivateContext:
@@ -79,21 +64,6 @@ class TestActivateContext:
         )
         assert worker_span["parent_id"] == sp.span_id
 
-    def test_pickled_context_degrades_to_fresh_root(self):
-        trace = Trace(name="job pagerank")
-        with trace_scope(trace):
-            ctx = pickle.loads(pickle.dumps(capture_context()))
-        with activate_context(ctx) as degraded:
-            assert degraded is not trace
-            assert degraded.trace_id == trace.trace_id
-            assert degraded.degraded is True
-            with span("worker.task"):
-                pass
-        # The child span stays in the degraded trace, not the parent's.
-        assert "worker.task" in degraded.span_names()
-        assert "worker.task" not in trace.span_names()
-        assert degraded.duration is not None
-
     def test_call_in_context_shim_runs_fn_under_the_scope(self):
         trace = Trace(name="t")
         with trace_scope(trace):
@@ -113,7 +83,7 @@ class TestExecutorCarriage:
     def test_thread_pool_blocks_join_the_request_trace(self, blocked):
         matrix, dense = blocked
         trace = Trace(name="POST /multiply")
-        with BlockExecutor(workers=3, kind="thread") as executor:
+        with BlockExecutor(workers=3) as executor:
             with trace_scope(trace):
                 results = executor.map_blocks(
                     lambda b, i: _traced_block(b, i), matrix.blocks
@@ -124,53 +94,13 @@ class TestExecutorCarriage:
 
     def test_untraced_thread_pool_stays_untraced(self, blocked):
         matrix, _ = blocked
-        with BlockExecutor(workers=3, kind="thread") as executor:
+        with BlockExecutor(workers=3) as executor:
             results = executor.map_blocks(
                 lambda b, i: current_trace(), matrix.blocks
             )
         assert results == [None, None, None]
 
-    def test_process_pool_multiply_matches_and_degrades(self, blocked):
-        matrix, dense = blocked
-        x = np.arange(dense.shape[1], dtype=np.float64)
-        trace = Trace(name="POST /multiply")
-        with BlockExecutor(workers=2, kind="process") as executor:
-            with trace_scope(trace):
-                y = executor.right_multiply(matrix, x)
-        np.testing.assert_allclose(y, dense @ x, rtol=1e-10)
-        # Worker spans stay in the worker processes: the submitting
-        # trace records nothing beyond its root, by design.
-        assert trace.span_names() == ["POST /multiply"]
-
-    def test_process_worker_sees_degraded_root(self, blocked):
-        matrix, _ = blocked
-        trace = Trace(name="POST /multiply")
-        with BlockExecutor(workers=2, kind="process") as executor:
-            with trace_scope(trace):
-                ctx = capture_context()
-                infos = executor._starmap(
-                    _describe_ambient_trace, [(ctx,)] * 2
-                )
-        for info in infos:
-            assert info["trace_id"] == trace.trace_id
-            assert info["degraded"] is True
-            assert info["is_parent_object"] is False
-
 
 def _traced_block(block, i: int):
     with span("block", i=i):
         return i, current_trace()
-
-
-def _describe_ambient_trace(ctx):
-    """Process-pool worker: report what activate_context established.
-
-    Module-level so the process pool can pickle it; ``ctx`` arrives
-    already stripped of its live trace reference.
-    """
-    with activate_context(ctx) as scoped:
-        return {
-            "trace_id": scoped.trace_id,
-            "degraded": scoped.degraded,
-            "is_parent_object": scoped is ctx.trace,
-        }

@@ -97,10 +97,11 @@ class TestAmbientScope:
 
 class TestTrace:
     def test_explicit_id_and_degraded_flag(self):
-        trace = Trace(name="job", trace_id="abcd" * 4, degraded=True)
+        trace = Trace(name="job", trace_id="abcd" * 4)
         assert trace.trace_id == "abcd" * 4
         payload = trace.to_payload()
-        assert payload["degraded"] is True
+        assert payload["trace_id"] == "abcd" * 4
+        assert "degraded" not in payload
 
     def test_find_span(self):
         trace = Trace(name="t")

@@ -9,13 +9,7 @@ from repro.core.blocked import BLOCK_FORMATS, BlockedMatrix
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import VARIANTS, GrammarCompressedMatrix
 from repro.errors import MatrixFormatError
-from repro.serve.batch import (
-    as_panel,
-    batch_left_multiply,
-    batch_right_multiply,
-    looped_left_multiply,
-    looped_right_multiply,
-)
+from repro.serve.batch import as_panel, batch_left_multiply, batch_right_multiply
 
 #: (id, builder) for every representation the registry can serve.
 REPRESENTATIONS = [
@@ -68,12 +62,12 @@ class TestPanelEquality:
         x = rng.standard_normal((structured_matrix.shape[1], 4))
         assert np.allclose(
             batch_right_multiply(compressed, x),
-            looped_right_multiply(compressed, x),
+            np.stack([compressed.right_multiply(c) for c in x.T], axis=1),
         )
         y = rng.standard_normal((structured_matrix.shape[0], 4))
         assert np.allclose(
             batch_left_multiply(compressed, y),
-            looped_left_multiply(compressed, y),
+            np.stack([compressed.left_multiply(c) for c in y.T], axis=1),
         )
 
 
@@ -123,16 +117,6 @@ class TestPanelOptions:
                     executor=ex,
                 ).shape,
                 (structured_matrix.shape[1], 3),
-            )
-
-    def test_process_executor_through_batch(self, structured_matrix, rng):
-        from repro.serve.executor import BlockExecutor
-
-        bm = BlockedMatrix.compress(structured_matrix, variant="re_32", n_blocks=2)
-        x = rng.standard_normal((structured_matrix.shape[1], 4))
-        with BlockExecutor(2, kind="process") as ex:
-            assert np.allclose(
-                batch_right_multiply(bm, x, executor=ex), structured_matrix @ x
             )
 
     def test_gcm_native_chunking_builds_engine_once(

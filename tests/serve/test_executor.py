@@ -18,14 +18,18 @@ class TestCorrectness:
         bm = BlockedMatrix.compress(structured_matrix, variant="re_32", n_blocks=4)
         x = rng.standard_normal(structured_matrix.shape[1])
         with BlockExecutor(workers) as ex:
-            assert np.allclose(ex.right_multiply(bm, x), structured_matrix @ x)
+            assert np.allclose(
+                bm.right_multiply(x, executor=ex), structured_matrix @ x
+            )
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_left_multiply(self, structured_matrix, rng, workers):
         bm = BlockedMatrix.compress(structured_matrix, variant="re_iv", n_blocks=3)
         y = rng.standard_normal(structured_matrix.shape[0])
         with BlockExecutor(workers) as ex:
-            assert np.allclose(ex.left_multiply(bm, y), y @ structured_matrix)
+            assert np.allclose(
+                bm.left_multiply(y, executor=ex), y @ structured_matrix
+            )
 
     def test_panels(self, structured_matrix, rng):
         bm = BlockedMatrix.compress(structured_matrix, variant="re_ans", n_blocks=3)
@@ -33,20 +37,10 @@ class TestCorrectness:
         y = rng.standard_normal((structured_matrix.shape[0], 4))
         with BlockExecutor(2) as ex:
             assert np.allclose(
-                ex.right_multiply_panel(bm, x), structured_matrix @ x
+                bm.right_multiply_matrix(x, executor=ex), structured_matrix @ x
             )
             assert np.allclose(
-                ex.left_multiply_panel(bm, y), structured_matrix.T @ y
-            )
-
-    def test_process_pool(self, structured_matrix, rng):
-        bm = BlockedMatrix.compress(structured_matrix, variant="re_32", n_blocks=2)
-        x = rng.standard_normal(structured_matrix.shape[1])
-        with BlockExecutor(2, kind="process") as ex:
-            assert np.allclose(ex.right_multiply(bm, x), structured_matrix @ x)
-            assert np.allclose(
-                ex.right_multiply_panel(bm, x[:, None]).ravel(),
-                structured_matrix @ x,
+                bm.left_multiply_matrix(y, executor=ex), structured_matrix.T @ y
             )
 
     def test_blocked_matrix_accepts_executor(self, structured_matrix, rng):
@@ -67,15 +61,13 @@ class TestCorrectness:
         bm = BlockedMatrix.compress(structured_matrix, n_blocks=2)
         with BlockExecutor(1) as ex:
             with pytest.raises(MatrixFormatError):
-                ex.right_multiply(bm, np.ones(3))
+                bm.right_multiply(np.ones(3), executor=ex)
             with pytest.raises(MatrixFormatError):
-                ex.left_multiply(bm, np.ones(3))
+                bm.left_multiply(np.ones(3), executor=ex)
 
     def test_invalid_config(self):
         with pytest.raises(MatrixFormatError):
             BlockExecutor(0)
-        with pytest.raises(MatrixFormatError):
-            BlockExecutor(2, kind="fiber")
 
 
 class TestTimedMap:
