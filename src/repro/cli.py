@@ -585,6 +585,9 @@ def _cmd_serve(args) -> int:
     except ReproError as exc:  # bad option values (e.g. --job-workers 0)
         print(str(exc), file=sys.stderr)
         return 1
+    except ImportError as exc:  # orjson, the server's JSON codec
+        print(f"repro serve needs orjson: {exc}", file=sys.stderr)
+        return 1
     names = ", ".join(registry.names())
     print(f"serving {len(registry)} matrices ({names}) on {server.url}")
     print(

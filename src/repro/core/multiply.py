@@ -328,10 +328,11 @@ class MvmEngine:
         x = _operand(x, self._plan.n_cols, "x")
         z = np.zeros((self._width,) + x.shape[1:], dtype=np.float64)
         z[: self._plan.n_cols] = x
-        for rows, lo, hi in self._level_rows:
-            self._csr(rows, z, z[lo:hi])
         y = _zeroed_result(out, (self._plan.n_rows,) + x.shape[1:])
-        self._csr(self._final_rows, z, y)
+        zs, ys = _vector_views(z, y)
+        for rows, lo, hi in self._level_rows:
+            self._csr(rows, zs, zs[lo:hi])
+        self._csr(self._final_rows, zs, ys)
         if out is not None and y is not out:
             out[...] = y
             return out
@@ -345,12 +346,13 @@ class MvmEngine:
         """
         y = np.ascontiguousarray(_operand(y, self._plan.n_rows, "y"))
         g = np.zeros((self._width,) + y.shape[1:], dtype=np.float64)
+        gs, ys = _vector_views(g, y)
         # Seed from C, then flush each level once all its parents (all
         # at higher levels) have landed; a level writes only to x and
         # to lower levels, never to the slice it reads.
-        self._csc(self._final_rows, y, g)
+        self._csc(self._final_rows, ys, gs)
         for rows, lo, hi in reversed(self._level_rows):
-            self._csc(rows, g[lo:hi], g)
+            self._csc(rows, gs[lo:hi], gs)
         x = g[: self._plan.n_cols]
         if out is None:
             return x.copy()
@@ -403,6 +405,20 @@ def _operand(arr: np.ndarray, length: int, name: str) -> np.ndarray:
             f"{name} has shape {arr.shape}, expected ({length},) or ({length}, k)"
         )
     return arr
+
+
+def _vector_views(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-column panels as 1-D views, so that they run the vector kernels.
+
+    At ``k = 1`` scipy's ``csr_matvec``/``csc_matvec`` are faster than
+    ``csr_matvecs``/``csc_matvecs``.  Both arrays are C-contiguous, so
+    ``reshape(-1)`` is a view; a copy would lose the kernel's writes.
+    """
+    if a.ndim == 1 or a.shape[1] != 1:
+        return a, b
+    av, bv = a.reshape(-1), b.reshape(-1)
+    assert np.may_share_memory(av, a) and np.may_share_memory(bv, b)
+    return av, bv
 
 
 def _zeroed_result(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:

@@ -15,8 +15,9 @@ production-scale direction:
 - :mod:`repro.serve.jobs` — asynchronous :mod:`repro.solve` jobs
   (submit a named algorithm, poll status/result/trace) running on
   background workers over the same registry and executor;
-- :mod:`repro.serve.server` — the stdlib HTTP JSON API behind
-  ``python -m repro serve``;
+- :mod:`repro.serve.server` — the HTTP JSON API behind
+  ``python -m repro serve`` (``http.server`` with ``orjson`` as the
+  codec, imported only when a server is built);
 - :mod:`repro.serve.stats` — per-matrix request counters and latency
   percentiles for ``/stats``.
 """

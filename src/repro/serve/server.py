@@ -1,8 +1,12 @@
-"""Stdlib HTTP JSON API over the matrix registry.
+"""HTTP JSON API over the matrix registry.
 
 ``python -m repro serve ROOT`` exposes a directory of ``.gcmx`` files
-as a small serving endpoint (no third-party dependencies — the stack
-is ``http.server`` + ``json``):
+as a small serving endpoint on ``http.server``, with ``orjson`` as the
+JSON codec.  ``orjson`` is imported when a :class:`MatrixServer` is
+built, so ``import repro`` needs only numpy + scipy.  The wire is
+strict RFC 8259 JSON: a body with ``NaN``, ``Infinity`` or a number
+that overflows a double answers ``400``, and a non-finite result entry
+is written as ``null``:
 
 ``GET /matrices``
     List registered matrices (header info only; nothing is loaded).
@@ -70,7 +74,6 @@ when ``workers > 1``.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import threading
@@ -184,6 +187,11 @@ class MatrixServer:
             raise ReproError(
                 f"request_deadline_ms must be >= 1, got {request_deadline_ms}"
             )
+        # The wire codec, imported here rather than at module top so
+        # that ``import repro`` needs only numpy + scipy.
+        import orjson
+
+        self._orjson = orjson
         self.registry = registry
         # One metrics registry for the whole server: the matrix
         # registry owns it, stats/jobs/handler all feed it, and
@@ -562,10 +570,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(
         self, status: int, payload: dict, retry_after: float | None = None
     ) -> None:
-        body = json.dumps(payload).encode()
+        orjson = self.app._orjson
+        # np.float64 is a float subclass, which orjson writes only with
+        # OPT_SERIALIZE_NUMPY; non-finite floats are written as null.
+        body = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY)
         self._send_common_headers(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if retry_after is not None:
             self.send_header("Retry-After", str(max(0, math.ceil(retry_after))))
         self.end_headers()
@@ -670,11 +683,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(404, {"error": f"unknown path {self.path!r}"})
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        length = self.headers.get("Content-Length", "0").strip(" \t")
+        if not (length.isascii() and length.isdigit()):
+            # RFC 9110 allows only 1*DIGIT.  The body's framing is
+            # unknown, so the connection cannot be reused.
+            self.close_connection = True
+            raise _RequestError(400, f"invalid Content-Length {length!r}")
+        raw = self.rfile.read(int(length))
+        orjson = self.app._orjson
         try:
-            return json.loads(raw or b"{}")
-        except json.JSONDecodeError as exc:
+            return orjson.loads(raw or b"{}")
+        except orjson.JSONDecodeError as exc:
             raise _RequestError(400, f"invalid JSON body: {exc}") from exc
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API

@@ -2,6 +2,9 @@
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.parse
@@ -16,6 +19,7 @@ from repro.core.gcm import GrammarCompressedMatrix
 from repro.io.serialize import save_matrix
 from repro.serve.registry import MatrixRegistry
 from repro.serve.server import MatrixServer
+from repro.shard import LazyShardedMatrix, build_sharded
 from tests.conftest import make_structured
 
 
@@ -36,6 +40,28 @@ def _post(url: str, payload: dict):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _post_raw(url: str, data: bytes):
+    """POST ``data`` as is; returns the status and the undecoded body."""
+    req = urllib.request.Request(
+        url, data=data, headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+
+
+def _strict_loads(raw: bytes):
+    """``json.loads`` that refuses the non-standard NaN/Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(raw, parse_constant=reject)
 
 
 @pytest.fixture
@@ -145,6 +171,25 @@ class TestMultiply:
         for i in range(3):
             assert np.allclose(body["result"][i], expected[i])
 
+    def test_overflowing_product_answers_null(self, serving):
+        # A product entry past the double range is not a JSON number:
+        # the body carries null there and stays standard JSON.
+        server, matrices = serving
+        dense = matrices["small"]
+        column = int(np.flatnonzero((np.abs(dense) > 1).any(axis=0))[0])
+        x = np.zeros(dense.shape[1])
+        x[column] = 1e308
+        payload = {"matrix": "small", "vectors": x.tolist()}
+        status, raw = _post_raw(f"{server.url}/multiply", json.dumps(payload).encode())
+        assert status == 200
+        got = _strict_loads(raw)["result"][0]
+        with np.errstate(over="ignore"):
+            expected = dense @ x
+        overflowed = ~np.isfinite(expected)
+        assert overflowed.any()
+        assert [v is None for v in got] == overflowed.tolist()
+        assert np.array_equal(np.array(got)[~overflowed], expected[~overflowed])
+
     def test_oversized_batch_rejected(self, tmp_path, rng):
         dense = make_structured(rng, n=20, m=6)
         save_matrix(GrammarCompressedMatrix.compress(dense), tmp_path / "m.gcmx")
@@ -179,6 +224,93 @@ class TestMultiply:
         assert (
             _post(url, {"matrix": "small", "vectors": ["a", "b"]})[0] == 400
         )
+        # Strict JSON (RFC 8259): non-finite numbers are not JSON, and
+        # 1e400 overflows a double.
+        width = matrices["small"].shape[1]
+        for token in ("NaN", "Infinity", "-Infinity", "1e400"):
+            vector = ", ".join([token] + ["2.0"] * (width - 1))
+            status, raw = _post_raw(
+                url, f'{{"matrix": "small", "vectors": [[{vector}]]}}'.encode()
+            )
+            assert status == 400, (token, raw)
+            assert "invalid JSON body" in _strict_loads(raw)["error"], token
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", " ", "\u00b2"])
+    def test_malformed_content_length(self, serving, length):
+        # Only 1*DIGIT is a Content-Length (RFC 9110).  -1 used to read
+        # to EOF, pinning the handler thread of a keep-alive client.
+        server, _ = serving
+        url = urllib.parse.urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=3)
+        try:
+            conn.putrequest("POST", "/multiply")
+            conn.putheader("Content-Length", length.encode("latin-1"))
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400, body
+        assert "Content-Length" in body["error"]
+        # The body's framing is unknown, so the server closes.
+        assert resp.getheader("Connection") == "close"
+
+
+@pytest.fixture
+def wire(tmp_path, rng):
+    """A server over a re_iv matrix and a lazily served re_ans shard set."""
+    matrices = {
+        "iv": make_structured(rng, n=40, m=8),
+        "shards": make_structured(rng, n=60, m=10),
+    }
+    save_matrix(
+        GrammarCompressedMatrix.compress(matrices["iv"], variant="re_iv"),
+        tmp_path / "iv.gcmx",
+    )
+    save_matrix(
+        build_sharded(matrices["shards"], n_shards=3, format="re_ans"),
+        tmp_path / "shards.gcmx",
+    )
+    registry = MatrixRegistry(root=tmp_path)
+    with MatrixServer(registry, workers=2, port=0).start() as server:
+        assert isinstance(registry.get("shards"), LazyShardedMatrix)
+        yield server, matrices
+
+
+class TestWire:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("op", ["right", "left"])
+    @pytest.mark.parametrize("name", ["iv", "shards"])
+    def test_round_trip_is_bit_exact(self, wire, name, op, k):
+        # Floats cross the wire twice (request parse, reply format);
+        # both must reproduce the in-process doubles to the last bit.
+        server, matrices = wire
+        dense = matrices[name]
+        length = dense.shape[1] if op == "right" else dense.shape[0]
+        vectors = np.random.default_rng(k).standard_normal((k, length))
+        payload = {"matrix": name, "op": op, "vectors": vectors.tolist()}
+        status, raw = _post_raw(f"{server.url}/multiply", json.dumps(payload).encode())
+        assert status == 200
+        got = np.array(_strict_loads(raw)["result"])
+        want = np.array(server.multiply(payload)["result"])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        expected = vectors @ (dense.T if op == "right" else dense)
+        assert np.allclose(got, expected)
+
+    def test_import_repro_does_not_import_orjson(self):
+        # Only a server needs orjson; the library is numpy + scipy.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        code = "import sys, repro; print('orjson' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestStatsAndEviction:

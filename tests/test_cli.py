@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,16 @@ class TestServe:
             ["serve", str(tmp_path), "--port", "0", "--job-workers", "0"]
         ) == 1
         assert "job workers" in capsys.readouterr().err
+
+    def test_missing_codec_fails_cleanly(
+        self, dense_file, tmp_path, capsys, monkeypatch
+    ):
+        src, _ = dense_file
+        main(["compress", str(src), str(tmp_path / "m.gcmx")])
+        capsys.readouterr()
+        monkeypatch.setitem(sys.modules, "orjson", None)  # import fails
+        assert main(["serve", str(tmp_path), "--port", "0"]) == 1
+        assert "needs orjson" in capsys.readouterr().err
 
     def test_serves_and_answers(self, dense_file, tmp_path, capsys):
         import json
