@@ -4,8 +4,9 @@
   multiplication loop the paper times (Eq. 4), with per-iteration
   timing and correctness checking against a dense reference;
 - :mod:`repro.bench.memory` — the analytic peak-memory model used for
-  the paper's "peak mem %" columns (see DESIGN.md's substitution
-  table for why the model replaces Unix ``time`` RSS measurements);
+  the paper's "peak mem %" columns (it replaces the paper's Unix
+  ``time`` RSS, which in a Python process measures the interpreter;
+  see that module);
 - :mod:`repro.bench.reporting` — plain-text table rendering shared by
   the ``benchmarks/`` scripts.
 """

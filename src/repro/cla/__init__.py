@@ -12,8 +12,10 @@ compares against in Section 5.4:
 - **compressed-domain multiplication**: both multiplication directions
   run directly over the encoded groups (:mod:`repro.cla.matrix`).
 
-The paper runs CLA inside Apache SystemDS; DESIGN.md documents why this
-self-contained reimplementation preserves the comparison's meaning.
+The paper runs CLA inside Apache SystemDS, a JVM system this package
+does not depend on.  This reimplementation keeps the parts the
+comparison measures: the co-coding plan, the group encodings and the
+multiplication over them.
 """
 
 from repro.cla.colgroup import (

@@ -6,12 +6,12 @@ every format, greedily *co-codes* groups of correlated columns when the
 joint encoding is estimated to be smaller than the separate ones, and
 finally picks the best concrete format per group.
 
-This module follows that structure with one documented simplification
-(see DESIGN.md): candidate merges are restricted to a sliding window
-over columns ordered by estimated distinct-tuple count, rather than
-CLA's bin-packing over all pairs — the quadratic pair search is
-infeasible for wide matrices in pure Python and the window captures the
-same highly-correlated candidates.
+This module follows that structure with one simplification: candidate
+merges are restricted to a sliding window over columns ordered by
+estimated distinct-tuple count, rather than CLA's bin-packing over all
+pairs — the quadratic pair search is infeasible for wide matrices in
+pure Python and the window captures the same highly-correlated
+candidates.
 """
 
 from __future__ import annotations

@@ -119,19 +119,18 @@ def _cmd_datasets(_args) -> int:
     return 0
 
 
-#: Formats whose builders run RePair and therefore accept --strategy.
-_GRAMMAR_FORMATS = ("re_32", "re_iv", "re_ans", "blocked", "auto")
-
-
 def _cmd_compress(args) -> int:
     matrix = np.load(args.input)
     fmt = args.format
     strategy_opts = {}
     if args.strategy != "exact":
-        if fmt not in _GRAMMAR_FORMATS:
+        if not formats.get(fmt).runs_repair:
+            repair_formats = [
+                name for name in formats.available() if formats.get(name).runs_repair
+            ]
             print(
                 f"--strategy {args.strategy} requires a grammar format "
-                f"({', '.join(_GRAMMAR_FORMATS)}), got {fmt!r}",
+                f"({', '.join(repair_formats)}), got {fmt!r}",
                 file=sys.stderr,
             )
             return 1

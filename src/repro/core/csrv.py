@@ -83,6 +83,9 @@ class CSRVMatrix(MatrixFormat):
         if matrix.ndim != 2:
             raise MatrixFormatError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
         n, m = matrix.shape
+        if column_order is None:
+            rows, cols = np.nonzero(matrix)
+            return cls._from_coo_ordered(rows, cols, matrix[rows, cols], (n, m))
         perm = _check_permutation(column_order, m)
         permuted = matrix[:, perm]
         rows, pos = np.nonzero(permuted)
@@ -134,15 +137,10 @@ class CSRVMatrix(MatrixFormat):
         n, m = shape
         values, value_idx = np.unique(vals, return_inverse=True)
         codes = 1 + value_idx.astype(np.int64) * m + cols
-        counts = np.bincount(rows, minlength=n).astype(np.int64)
-        t = int(codes.size)
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(counts[:-1] + 1, out=starts[1:])
-        s = np.zeros(t + n, dtype=np.int64)
-        if t:
-            ends = np.cumsum(counts)
-            intra = np.arange(t, dtype=np.int64) - np.repeat(ends - counts, counts)
-            s[starts[rows] + intra] = codes
+        # Row r ends with its separator, so the i-th triplet (in row
+        # order) sits at i + r in S.
+        s = np.zeros(codes.size + n, dtype=np.int64)
+        s[np.arange(codes.size) + rows] = codes
         return cls(s, values, (n, m))
 
     # -- invariants ----------------------------------------------------------------

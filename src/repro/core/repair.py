@@ -27,8 +27,9 @@ replacement time: a position is skipped unless it still spells the pair
 being replaced.
 
 The compressor runs in (expected) time ``O(|S| log |S|)`` and is pure
-Python; the repo keeps the input sequences at a scale (≤ ~1M symbols)
-where this is practical, as described in DESIGN.md.
+Python, so it is practical up to about a million symbols: mnist2m's
+994k symbols take a few seconds (``BENCH_hotpaths.json``).  Larger
+inputs are row-sharded or use ``strategy="batch"``.
 
 Strategies
 ----------
@@ -41,10 +42,10 @@ Strategies
 ``strategy="batch"``
     A vectorised approximation that replaces a whole *generation* of
     pairs per round.  Each round counts every adjacent pair at once
-    (one radix sort over the stacked ``(sym[:-1], sym[1:])`` pair
-    codes, behind a bincount hash prefilter that discards positions
-    whose pair provably occurs once), selects every pair whose count
-    is within half of the round's best, resolves overlaps between
+    with one ``np.sort`` of int64 keys ``code << pbits | position``
+    (``code`` encodes the pair ``(sym[i], sym[i+1])``, ``pbits`` bits
+    hold any position), selects every pair whose count is within half
+    of the round's best, resolves overlaps between
     selected occurrences positionally (an occurrence survives iff its
     pair outranks both neighbouring occurrences — two surviving
     occurrences can then never overlap, because the lower-ranked of
@@ -55,6 +56,11 @@ Strategies
     within ~2–3% of the exact grammar size on the dataset profiles
     while compressing an order of magnitude faster at scale; see
     ``benchmarks/bench_hotpaths.py`` and ``BENCH_hotpaths.json``.
+    A round whose key would not fit in 63 bits (past ~3 million
+    symbols at a million positions) groups the codes with a stable
+    ``np.argsort`` instead, behind a bincount hash prefilter that
+    drops positions whose pair provably occurs too rarely.  Both
+    paths give the same grammar.
 """
 
 from __future__ import annotations
@@ -74,6 +80,10 @@ _HOLE = -1
 
 #: The implemented main-loop formulations.
 STRATEGIES = ("exact", "batch")
+
+#: The builder options that configure RePair; only builders whose
+#: format spec has ``runs_repair`` set take them.
+REPAIR_OPTIONS = ("min_frequency", "max_rules", "strategy")
 
 #: A batch round selects every pair whose count is at least this
 #: fraction of the round's best count: one "generation" of rules.
@@ -187,12 +197,17 @@ def _repair_batch(
     loop runs over self-pair groups, which are rare):
 
     1. *Count* every adjacent pair: encode ``(sym[i], sym[i+1])`` as a
-       single integer code and sort the codes once.  A bincount hash
-       prefilter first drops positions whose pair provably occurs too
-       rarely to matter this round (a pair's hash-bucket count
+       single integer code ``a·stride + b`` and sort the keys
+       ``code << pbits | i`` once, which orders the occurrences by code
+       and, within one code, by position.  That needs
+       ``(stride² - 1).bit_length() + pbits <= 63``.  A round that
+       cannot pack its keys runs a stable argsort of the codes instead
+       (numpy's timsort for int64), and shrinks it first with a
+       bincount hash prefilter: a pair's hash-bucket count
        upper-bounds its true count, and a round's best count never
-       exceeds the previous round's), which shrinks the sort both in
-       high-count rounds and once most adjacencies have become unique.
+       exceeds the previous round's, so positions whose pair provably
+       occurs too rarely to matter this round are dropped.  The
+       prefilter costs more than it saves in front of the packed sort.
     2. *Select* the round's generation: every pair whose effective
        count (after left-to-right pruning of self-overlapping runs)
        reaches ``max(min_frequency, ceil(best · 0.5))``, ranked by
@@ -218,7 +233,8 @@ def _repair_batch(
     prev_filter_rate = 0.0
     while (max_rules is None or len(rules) < max_rules) and seq.size >= 2:
         a, b = seq[:-1], seq[1:]
-        valid_pos = np.flatnonzero((a != forbidden) & (b != forbidden))
+        pairable = seq != forbidden
+        valid_pos = np.flatnonzero(pairable[:-1] & pairable[1:])
         if valid_pos.size == 0:
             break
         # Symbols present are always < next_symbol, so the pair code
@@ -234,23 +250,32 @@ def _repair_batch(
                 f"{_BATCH_MAX_STRIDE - 1}, got alphabet bound {stride}; "
                 "use strategy='exact' for larger symbol spaces"
             )
-        codes = a[valid_pos] * stride + b[valid_pos]
-        # Generation-aware prefilter.  A round's best count never
-        # exceeds the previous round's (old pairs only decay; a pair
-        # involving a fresh nonterminal occurs at most as often as the
-        # rule that produced it), so pairs far below the previous top
-        # cannot make this round's generation.  The Fibonacci-hash
-        # bucket counts upper-bound the true pair counts (collisions
-        # only inflate), so filtering buckets below ``floor_count``
-        # never drops an eligible pair — if the post-count threshold
-        # nevertheless lands below the floor (a >4x top collapse in one
-        # round), the round is redone unfiltered.
+        codes = a[valid_pos]
+        codes *= stride
+        codes += b[valid_pos]
+        # Positions are < 2**pbits and codes < stride², so when both fit
+        # in 63 bits one plain sort of ``code << pbits | position`` puts
+        # the occurrences in (code, position) order.
+        pbits = seq.size.bit_length()
+        packed = (stride * stride - 1).bit_length() + pbits <= 63
+        # Generation-aware prefilter, for the rounds that cannot pack.
+        # A round's best count never exceeds the previous round's (old
+        # pairs only decay; a pair involving a fresh nonterminal occurs
+        # at most as often as the rule that produced it), so pairs far
+        # below the previous top cannot make this round's generation.
+        # The Fibonacci-hash bucket counts upper-bound the true pair
+        # counts (collisions only inflate), so filtering buckets below
+        # ``floor_count`` never drops an eligible pair — if the
+        # post-count threshold nevertheless lands below the floor (a >4x
+        # top collapse in one round), the round is redone unfiltered.
         floor_count = min_frequency
         if prev_top is not None:
             floor_count = max(min_frequency, prev_top >> 3)
         while True:
-            use_filter = codes.size >= _BATCH_PREFILTER_MIN and (
-                floor_count > min_frequency or prev_filter_rate >= 0.25
+            use_filter = (
+                not packed
+                and codes.size >= _BATCH_PREFILTER_MIN
+                and (floor_count > min_frequency or prev_filter_rate >= 0.25)
             )
             if use_filter:
                 table_bits = int(2 * codes.size - 1).bit_length()
@@ -270,38 +295,42 @@ def _repair_batch(
             if round_codes.size == 0:
                 top = 0
             else:
-                # One stable sort groups equal codes with their
-                # occurrence positions in ascending sequence order.
-                by_code = np.argsort(round_codes, kind="stable")
-                sorted_codes = round_codes[by_code]
-                occ_sorted = round_pos[by_code]
+                # Group equal codes, each group's occurrence positions
+                # ascending (``round_pos`` is ascending, so the stable
+                # argsort keeps them in that order too).
+                if packed:
+                    keys = round_codes << pbits
+                    keys |= round_pos
+                    keys.sort()
+                    sorted_codes = keys >> pbits
+                    occ_sorted = keys & ((1 << pbits) - 1)
+                else:
+                    by_code = np.argsort(round_codes, kind="stable")
+                    sorted_codes = round_codes[by_code]
+                    occ_sorted = round_pos[by_code]
                 new_grp = np.empty(sorted_codes.size, dtype=bool)
                 new_grp[0] = True
                 np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=new_grp[1:])
-                group_id = np.cumsum(new_grp) - 1
                 starts = np.flatnonzero(new_grp)
                 g_counts = np.diff(starts, append=sorted_codes.size)
                 g_codes = sorted_codes[starts]
                 # Effective counts: self-pairs (a, a) lose the odd
                 # offsets of each overlapping run before eligibility.
                 entry_live = np.ones(sorted_codes.size, dtype=bool)
-                self_groups = np.flatnonzero(
-                    (g_codes // stride == g_codes % stride) & (g_counts >= 2)
-                )
+                multi = np.flatnonzero(g_counts >= 2)
+                self_groups = multi[
+                    g_codes[multi] // stride == g_codes[multi] % stride
+                ]
+                eff_counts = g_counts.copy() if self_groups.size else g_counts
                 for gi in self_groups.tolist():
                     lo, hi = starts[gi], starts[gi] + g_counts[gi]
                     entry_live[lo:hi] = _self_run_keep(occ_sorted[lo:hi])
-                if self_groups.size:
-                    eff_counts = np.bincount(
-                        group_id[entry_live], minlength=g_codes.size
-                    )
-                else:
-                    eff_counts = g_counts
+                    eff_counts[gi] = np.count_nonzero(entry_live[lo:hi])
                 top = int(eff_counts.max())
             threshold = max(
                 min_frequency, math.ceil(top * _BATCH_GENERATION_FRACTION)
             )
-            if floor_count <= threshold:
+            if not use_filter or floor_count <= threshold:
                 break
             # The filter floor overshot this round's threshold: redo
             # the count without the generation floor.
@@ -316,12 +345,19 @@ def _repair_batch(
             order = order[: max_rules - len(rules)]
         sel_groups = eligible[order]
         # Rank = priority: count descending, smaller pair code on ties.
-        rank_of_group = np.full(g_codes.size, _NO_RANK, dtype=np.int64)
-        rank_of_group[sel_groups] = np.arange(sel_groups.size)
-        entry_rank = rank_of_group[group_id]
-        entry_sel = entry_live & (entry_rank != _NO_RANK)
-        occ_pos = occ_sorted[entry_sel]
-        occ_rank = entry_rank[entry_sel]
+        # Gather the live occurrences of the selected groups, rank by
+        # rank (group g holds entries starts[g] .. starts[g] +
+        # g_counts[g] - 1); the steps below do not depend on the order.
+        sel_counts = g_counts[sel_groups]
+        sel_ends = np.cumsum(sel_counts)
+        entry = np.arange(int(sel_ends[-1])) + np.repeat(
+            starts[sel_groups] - (sel_ends - sel_counts), sel_counts
+        )
+        occ_rank = np.repeat(np.arange(sel_groups.size), sel_counts)
+        if self_groups.size:
+            is_live = entry_live[entry]
+            entry, occ_rank = entry[is_live], occ_rank[is_live]
+        occ_pos = occ_sorted[entry]
         # Positional conflict resolution: survive iff strictly higher
         # priority than both neighbouring occurrence starts (index
         # seq.size is a never-assigned sentinel slot for the edges).
@@ -350,9 +386,9 @@ def _repair_batch(
         )
         next_symbol += int(winner_ranks.size)
         seq[kept_pos] = new_sym[kept_rank]
-        delete = np.zeros(seq.size, dtype=bool)
-        delete[kept_pos + 1] = True
-        seq = seq[~delete]
+        stays = np.ones(seq.size, dtype=bool)
+        stays[kept_pos + 1] = False
+        seq = seq[stays]
     rule_arr = np.asarray(rules, dtype=np.int64).reshape(-1, 2)
     return Grammar(nt_base=nt_base, rules=rule_arr, final=seq)
 

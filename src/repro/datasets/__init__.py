@@ -5,8 +5,10 @@ and Mnist2m (UCI/Kaggle; up to 14.5M rows).  Those files are not
 available offline, so this subpackage generates matrices that match
 each dataset's *statistical profile* — column count, non-zero density,
 distinct-value richness, and inter-column correlation structure — at a
-laptop scale (see DESIGN.md's substitution table for why this preserves
-the experiments' meaning).
+laptop scale.  Those properties decide how far each representation
+compresses a matrix and how fast it multiplies, which is what the
+experiments compare; :mod:`repro.datasets.synthetic` describes the
+structure the generator plants.
 
 - :mod:`repro.datasets.profiles` — the per-dataset profiles, including
   the paper's published Table 1/2/4 numbers for comparison;

@@ -9,6 +9,8 @@ instance instead of hard-coding type checks:
 - :mod:`repro.io.serialize` maps kind tags ↔ payload codecs;
 - the CLI queries capabilities (``supports_executor``) instead of
   ``isinstance`` chains;
+- the CLI's ``--strategy`` and the shard planner read ``runs_repair``
+  to decide which builders take RePair's options;
 - the CLI and benchmark harness derive their format choices from
   :func:`available`.
 
@@ -55,6 +57,11 @@ class FormatSpec:
         ``enable_plan_retention`` changes execution: the format can keep
         a reusable multiplication plan resident instead of rebuilding
         per call (the grammar variants and their blocked containers).
+    runs_repair:
+        The builder runs RePair (a sharded build: on the shards whose
+        format does) and takes RePair's options
+        (:data:`repro.core.repair.REPAIR_OPTIONS`).  No other builder
+        is passed them.
     supports_mmap:
         The decoder tolerates read-only buffer views: under
         ``load_matrix(..., mmap=True)`` the payload arrays become
@@ -80,6 +87,7 @@ class FormatSpec:
     supports_executor: bool = False
     supports_threads: bool = False
     supports_plan_cache: bool = False
+    runs_repair: bool = False
     supports_mmap: bool = False
     encode: Callable[[Any], bytes] | None = None
     decode: Callable[[bytes, int], tuple[Any, int]] | None = None

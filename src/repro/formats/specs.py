@@ -104,6 +104,7 @@ for _variant in VARIANTS:
             description=f"grammar-compressed (C, R, V), {_variant} encoding "
             "(Section 4)",
             supports_plan_cache=True,
+            runs_repair=True,
             supports_mmap=True,
             encode=io.gcm_payload,
             decode=io.read_gcm,
@@ -121,6 +122,7 @@ register(
         supports_executor=True,
         supports_threads=True,
         supports_plan_cache=True,
+        runs_repair=True,
         supports_mmap=True,
         encode=io.blocked_payload,
         decode=io.read_blocked,
@@ -141,6 +143,7 @@ register(
         supports_executor=True,
         supports_threads=True,
         supports_plan_cache=True,
+        runs_repair=True,
     )
 )
 
@@ -172,6 +175,7 @@ register(
         supports_executor=True,
         supports_threads=True,
         supports_plan_cache=True,
+        runs_repair=True,
         supports_mmap=True,
         encode=io.sharded_payload,
         decode=io.read_sharded,

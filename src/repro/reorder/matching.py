@@ -13,7 +13,6 @@ concatenated into the final permutation.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.reorder.similarity import similarity_edges
@@ -21,6 +20,10 @@ from repro.reorder.similarity import similarity_edges
 
 def matching_order(csm: np.ndarray) -> np.ndarray:
     """Column permutation from the bipartite maximum weight matching."""
+    # Imported here: MWM is the only user of networkx, which ``import
+    # repro`` and the server must not need.
+    import networkx as nx
+
     m = csm.shape[0]
     graph = nx.Graph()
     graph.add_nodes_from(("L", i) for i in range(m))

@@ -8,7 +8,8 @@ construction followed by 2-opt and Or-opt local search over candidate
 neighbour lists — which reproduces the paper's qualitative findings:
 tour quality at or near the best of the reordering algorithms, at a
 running time orders of magnitude above PathCover (see the Table 3
-benchmark and DESIGN.md's substitution table).
+benchmark, ``benchmarks/bench_table3_reordering.py``).  LKH itself is a
+C program outside this package's numpy + scipy dependencies.
 
 The "tour" is interpreted as an open path (the paper maximises the sum
 of similarities of *adjacent* columns; no wrap-around edge is wanted),

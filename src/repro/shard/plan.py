@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.repair import REPAIR_OPTIONS
 from repro.errors import MatrixFormatError
 
 #: Density below which a shard is handed to plain CSR (sparse enough
@@ -189,16 +190,18 @@ def plan_shards(
         One registered format name applied to every shard, or ``None``
         (default) for per-shard :func:`select_format` profiling.
     build_opts:
-        Extra options forwarded to every shard's builder.
+        Extra options forwarded to every shard's builder, except that
+        RePair's options (:data:`repro.core.repair.REPAIR_OPTIONS`)
+        reach only the shards whose format runs RePair.
     """
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or min(dense.shape) < 1:
         raise MatrixFormatError(
             f"shard planning needs a 2-D matrix, got shape {dense.shape}"
         )
-    if format is not None:
-        from repro import formats as _registry
+    from repro import formats as _registry
 
+    if format is not None:
         if format not in _registry.available():
             raise MatrixFormatError(
                 f"unknown shard format {format!r}; registered formats: "
@@ -206,19 +209,23 @@ def plan_shards(
             )
     n, m = dense.shape
     opts = dict(build_opts or {})
+    plain_opts = {k: v for k, v in opts.items() if k not in REPAIR_OPTIONS}
     shards = []
     for i, (start, stop) in enumerate(
         _row_boundaries(n, m, n_shards, target_rows, target_bytes)
     ):
         block = dense[start:stop]
         density, distinct = profile_slice(block)
+        shard_format = format or select_format(block)
         shards.append(
             ShardSpec(
                 index=i,
                 row_start=start,
                 row_stop=stop,
-                format=format or select_format(block),
-                build_opts=opts,
+                format=shard_format,
+                build_opts=(
+                    opts if _registry.get(shard_format).runs_repair else plain_opts
+                ),
                 density=density,
                 distinct=distinct,
             )

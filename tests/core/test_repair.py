@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.csrv import CSRVMatrix
 from repro.core.repair import repair_compress
+from repro.datasets import get_dataset
 from repro.errors import GrammarError
 
 
@@ -188,6 +189,19 @@ class TestBatchStrategy:
             self._roundtrip([1] * n)
         self._roundtrip([1, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 1, 1])
 
+    @pytest.mark.parametrize(
+        "seq",
+        [[1] * 9, [1, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 1, 1], [3, 3, 3, 3, 0, 3, 3, 3, 0, 3, 3]],
+    )
+    def test_self_pair_runs_match_left_to_right(self, seq):
+        # Pairing a run of (a, a) left to right needs each pair's
+        # occurrences in ascending position order; here batch and exact
+        # agree rule for rule.
+        g = self._roundtrip(seq)
+        exact = repair_compress(np.asarray(seq))
+        assert g.rules.tolist() == exact.rules.tolist()
+        assert g.final.tolist() == exact.final.tolist()
+
     def test_separator_never_in_rules(self):
         g = self._roundtrip([1, 2, 0, 1, 2, 0, 1, 2, 0])
         assert g.n_rules >= 1
@@ -252,6 +266,59 @@ class TestBatchStrategy:
         # Same ballpark grammar (the profile-level 2% ratio bound is
         # asserted in tests/formats/test_strategy_equivalence.py).
         assert batch.size <= 1.15 * exact.size
+
+    @pytest.mark.parametrize("profile", ["census", "mnist2m", "airline78"])
+    def test_wide_symbols_take_the_stable_sort(self, profile, monkeypatch):
+        # Pair codes of symbols >= 2**26 leave no room for a 63-bit
+        # (code, position) key at these lengths, so every round groups
+        # pairs with the stable argsort instead (behind the hash
+        # prefilter).  Shifting every symbol keeps the pair order, so
+        # the grammar is the narrow one, shifted.
+        shift = 2**26
+        s = CSRVMatrix.from_dense(
+            np.asarray(get_dataset(profile, n_rows=300).matrix)
+        ).s
+        assert s.size >= 1 << 11  # 53 code bits + 11 position bits > 63
+        stable_sorts = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            stable_sorts.append(kwargs.get("kind") == "stable")
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        narrow = repair_compress(s, strategy="batch")
+        assert stable_sorts == []
+        wide = repair_compress(np.where(s != 0, s + shift, 0), strategy="batch")
+        assert stable_sorts and all(stable_sorts)
+        assert narrow.n_rules > 0
+        assert wide.nt_base == narrow.nt_base + shift
+        np.testing.assert_array_equal(wide.rules, narrow.rules + shift)
+        np.testing.assert_array_equal(
+            wide.final, np.where(narrow.final != 0, narrow.final + shift, 0)
+        )
+
+    #: Batch grammar fingerprints of the dataset profiles at 1000 rows,
+    #: recorded from the stable-argsort grouping (which gives them for
+    #: every round forced onto it); the packed-key sort must reproduce
+    #: them byte for byte.
+    PINNED_FINGERPRINTS = {
+        "susy": "c3b8ffa67bdf51ee259f7b2a54f0e739",
+        "higgs": "29a9c4130958aed0d165f9a83db992f3",
+        "airline78": "7fe22f9e32a0de9eadb5df1db8bf1be5",
+        "covtype": "5929ec98eb891b8a8d2cadf2cf09e3cb",
+        "census": "2c218bdab386f7057b583fccd8ba0979",
+        "optical": "bd00ea986407efe2dfeb6704bd4363c4",
+        "mnist2m": "c808196dc6f2c2e0445d842c8b5259b4",
+    }
+
+    @pytest.mark.parametrize("profile", sorted(PINNED_FINGERPRINTS))
+    def test_pinned_profile_fingerprints(self, profile):
+        s = CSRVMatrix.from_dense(
+            np.asarray(get_dataset(profile, n_rows=1000).matrix)
+        ).s
+        grammar = repair_compress(s, strategy="batch")
+        assert grammar.fingerprint() == self.PINNED_FINGERPRINTS[profile]
 
 
 @settings(max_examples=80, deadline=None)

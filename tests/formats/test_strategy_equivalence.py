@@ -20,9 +20,10 @@ from repro.datasets import get_dataset
 from tests.conftest import make_structured
 
 #: Registered formats whose builders run RePair (and hence accept
-#: ``strategy=``): the grammar variants and their blocked containers.
+#: ``strategy=``): the grammar variants, their blocked containers and
+#: the sharded container.
 GRAMMAR_FORMATS = [
-    name for name in formats.available() if formats.get(name).supports_plan_cache
+    name for name in formats.available() if formats.get(name).runs_repair
 ]
 
 #: Extra structural options exercised for the container formats.

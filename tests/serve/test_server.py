@@ -312,6 +312,28 @@ class TestWire:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_repro_does_not_need_networkx(self):
+        # Only MWM column reordering needs networkx; the library, the
+        # CLI and the server import without it.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        loaded = (
+            "import sys, repro, repro.cli, repro.serve.server, "
+            "repro.serve.registry, repro.serve.batch, repro.serve.jobs; "
+            "print('networkx' in sys.modules)"
+        )
+        blocked = "import sys; sys.modules['networkx'] = None; import repro"
+        for code, want in ((loaded, "False"), (blocked, "")):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == want
+
 
 class TestStatsAndEviction:
     def test_lru_eviction_observable_via_stats(self, serving):

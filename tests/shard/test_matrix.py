@@ -53,6 +53,24 @@ class TestConstruction:
             assert built.size_bytes() == seq.size_bytes()
             assert np.allclose(built.to_dense(), dense)
 
+    def test_batch_strategy_with_non_grammar_shards(self, dense):
+        # The planner picks csr and csrv here, whose builders take no
+        # RePair options; only the re_ans shard gets strategy="batch".
+        batch = build_sharded(dense, n_shards=3, strategy="batch")
+        assert batch.shard_formats == ("csr", "re_ans", "csrv")
+        assert np.array_equal(batch.to_dense(), dense)
+
+    def test_batch_strategy_on_all_csrv_plan(self):
+        from repro.datasets import get_dataset
+
+        dense = np.asarray(get_dataset("susy", n_rows=2000).matrix)
+        batch = build_sharded(dense, n_shards=4, strategy="batch")
+        default = build_sharded(dense, n_shards=4)
+        assert batch.shard_formats == default.shard_formats == ("csrv",) * 4
+        for got, want in zip(batch.shards, default.shards, strict=True):
+            assert np.array_equal(got.s, want.s)
+            assert np.array_equal(got.values, want.values)
+
     def test_plan_shape_mismatch(self, dense):
         plan = plan_shards(dense[:-1], n_shards=2)
         with pytest.raises(MatrixFormatError, match="plan is for shape"):

@@ -105,6 +105,19 @@ class TestFormatSelection:
         with pytest.raises(MatrixFormatError, match="unknown shard format"):
             plan_shards(mixed_matrix(rng), format="bzip2")
 
+    def test_repair_options_reach_only_repair_shards(self, rng):
+        plan = plan_shards(
+            mixed_matrix(rng),
+            n_shards=3,
+            build_opts={"strategy": "batch", "max_rules": 5, "n_blocks": 2},
+        )
+        assert plan.formats == ("csr", "re_ans", "csrv")
+        assert [s.build_opts for s in plan.shards] == [
+            {"n_blocks": 2},
+            {"strategy": "batch", "max_rules": 5, "n_blocks": 2},
+            {"n_blocks": 2},
+        ]
+
 
 class TestPlanObject:
     def test_describe_rows(self, rng):

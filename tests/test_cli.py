@@ -47,6 +47,17 @@ class TestCompressInfoDecompress:
         assert main(["info", str(blob)]) == 0
         assert "blocks  : 4" in capsys.readouterr().out
 
+    def test_strategy_follows_the_format_registry(self, dense_file, tmp_path, capsys):
+        src, matrix = dense_file
+        blob = tmp_path / "m.gcmx"
+        argv = ["compress", str(src), str(blob), "--strategy", "batch"]
+        assert main(argv + ["--format", "csrv"]) == 1
+        err = capsys.readouterr().err
+        assert "requires a grammar format" in err and "sharded" in err
+        assert main(argv + ["--format", "sharded"]) == 0
+        assert main(["decompress", str(blob), str(tmp_path / "b.npy")]) == 0
+        assert np.array_equal(np.load(tmp_path / "b.npy"), matrix)
+
     def test_reorder_pipeline(self, dense_file, tmp_path, capsys):
         src, matrix = dense_file
         blob = tmp_path / "m.gcmx"
