@@ -25,6 +25,7 @@ All variants store ``V`` as raw 8-byte doubles, as in the paper.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 
@@ -99,6 +100,7 @@ class GrammarCompressedMatrix(MatrixFormat):
         self._c_length = int(c_length)
         self._n_rules = int(n_rules)
         self._engine: MvmEngine | None = None
+        self._engine_lock = threading.Lock()
         self._retain_plan = variant == "re_32"
         self._fingerprint: str | None = None
 
@@ -340,23 +342,34 @@ class GrammarCompressedMatrix(MatrixFormat):
         With :meth:`enable_plan_retention` on (the served
         configuration, and ``re_32``'s default), the engine is built
         once, from the shared cache's plan when a structurally
-        identical grammar was already planned, and kept.  The cached
-        plan holds value ids only, so matrices with one grammar and
-        different ``V`` share it safely.
+        identical grammar was already planned, and kept.  The build
+        runs once under concurrency too: requests that ask while it is
+        in progress wait on a per-instance lock and reuse its storage
+        decode and plan (two overlapping passes over a lazily served
+        shard share one build).  The cached plan holds value ids only,
+        so matrices with one grammar and different ``V`` share it
+        safely.
         """
         if not self._retain_plan:
             return MvmEngine.from_grammar(
                 self.decode_grammar(), self._shape[1], self._values
             )
-        if self._engine is None:
-            key = self.grammar_fingerprint()
-            plan = _PLAN_CACHE.get(key)
-            if plan is None:
-                plan = _PLAN_CACHE.put(
-                    key, MvmPlan.from_grammar(self.decode_grammar(), self._shape[1])
-                )
-            self._engine = MvmEngine(plan, self._values)
-        return self._engine
+        engine = self._engine
+        if engine is None:
+            with self._engine_lock:
+                engine = self._engine
+                if engine is None:
+                    key = self.grammar_fingerprint()
+                    plan = _PLAN_CACHE.get(key)
+                    if plan is None:
+                        plan = _PLAN_CACHE.put(
+                            key,
+                            MvmPlan.from_grammar(
+                                self.decode_grammar(), self._shape[1]
+                            ),
+                        )
+                    engine = self._engine = MvmEngine(plan, self._values)
+        return engine
 
     def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
         """``y = M x`` directly on the compressed form."""

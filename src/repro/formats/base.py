@@ -25,6 +25,11 @@ hooks subclasses override are the narrow ones:
     panel call and reused across ``panel_width`` chunks, which is how
     the grammar variants pay their storage decode once per request
     instead of once per chunk.
+``_right_panel`` / ``_left_panel``
+    Run the whole validated panel into ``out``; the default builds the
+    kernel above and walks the ``panel_width`` chunks.  Row-partitioned
+    matrices override it to visit each part once per call and hand it
+    the whole panel, so a part's decode is not repeated per chunk.
 
 Concrete formats register themselves with :mod:`repro.formats.registry`
 so the serving, serialization, benchmark, and CLI layers can dispatch
@@ -176,10 +181,9 @@ class MatrixFormat:
         """
         panel = check_panel(x_block, self.shape[1], "x block")
         check_threads(threads)
+        check_panel_width(panel_width)
         out = _prepare_out(out, (self.shape[0], panel.shape[1]))
-        kernel = self._right_panel_kernel(threads, executor)
-        for lo, hi in _panel_chunks(panel.shape[1], panel_width):
-            kernel(panel[:, lo:hi], out[:, lo:hi])
+        self._right_panel(panel, out, threads, executor, panel_width)
         return out
 
     def left_multiply_matrix(
@@ -193,11 +197,36 @@ class MatrixFormat:
         """Compute ``Xᵗ = Yᵗ M`` for an ``(n, k)`` block of vectors."""
         panel = check_panel(y_block, self.shape[0], "y block")
         check_threads(threads)
+        check_panel_width(panel_width)
         out = _prepare_out(out, (self.shape[1], panel.shape[1]))
+        self._left_panel(panel, out, threads, executor, panel_width)
+        return out
+
+    def _right_panel(
+        self,
+        panel: np.ndarray,
+        out: np.ndarray,
+        threads: int,
+        executor: Any,
+        panel_width: int | None,
+    ) -> None:
+        """Fill ``out`` with ``M @ panel``, one kernel over the chunks."""
+        kernel = self._right_panel_kernel(threads, executor)
+        for lo, hi in _panel_chunks(panel.shape[1], panel_width):
+            kernel(panel[:, lo:hi], out[:, lo:hi])
+
+    def _left_panel(
+        self,
+        panel: np.ndarray,
+        out: np.ndarray,
+        threads: int,
+        executor: Any,
+        panel_width: int | None,
+    ) -> None:
+        """Fill ``out`` with ``panelᵗ @ M``, one kernel over the chunks."""
         kernel = self._left_panel_kernel(threads, executor)
         for lo, hi in _panel_chunks(panel.shape[1], panel_width):
             kernel(panel[:, lo:hi], out[:, lo:hi])
-        return out
 
     def _right_panel_kernel(
         self, threads: int, executor: Any
@@ -290,6 +319,14 @@ def check_threads(threads: int) -> None:
         raise MatrixFormatError(f"threads must be >= 1, got {threads}")
 
 
+def check_panel_width(panel_width: int | None) -> None:
+    """Reject non-positive panel chunk widths with the package's error type."""
+    if panel_width is not None and panel_width < 1:
+        raise MatrixFormatError(
+            f"panel_width must be >= 1, got {panel_width}"
+        )
+
+
 def _prepare_out(out: np.ndarray | None, expected: tuple[int, int]) -> np.ndarray:
     if out is None:
         return np.empty(expected, dtype=np.float64)
@@ -305,10 +342,6 @@ def _prepare_out(out: np.ndarray | None, expected: tuple[int, int]) -> np.ndarra
 
 
 def _panel_chunks(k: int, panel_width: int | None) -> Iterator[tuple[int, int]]:
-    if panel_width is not None and panel_width < 1:
-        raise MatrixFormatError(
-            f"panel_width must be >= 1, got {panel_width}"
-        )
     if panel_width is None or k <= panel_width:
         if k:
             yield 0, k

@@ -15,10 +15,16 @@ this module:
 :class:`LazyShardedMatrix`
     The serving form — holds only the container file's shard manifest
     and loads shard payloads on demand.  Each shard is an LRU entry
-    under an optional ``shard_byte_budget``: after every
-    multiplication the coldest shards are dropped back to disk until
-    the loaded set fits, so the serving registry evicts *shards*, not
-    whole matrices.
+    under an optional ``shard_byte_budget``: after every shard visit
+    the coldest unpinned shards are dropped back to disk until the
+    loaded set fits, so the serving registry evicts *shards*, not
+    whole matrices.  Overlapping requests share their scans: a pass
+    starts at the shard most recently started by any pass and wraps
+    around, pins the shard it is visiting, waits for a load of that
+    shard already in flight instead of starting a second one, and
+    leaves a shard only once the other passes visiting it are done, so
+    concurrent passes run in lockstep and each cold shard is loaded,
+    decoded and planned once per scan.
 
 Multiplication is scatter-gather over the row partition: right
 multiplication fans the operand out to every shard and concatenates
@@ -52,6 +58,7 @@ from repro.resilience.policy import (
     CircuitBreaker,
     RetryPolicy,
     check_deadline,
+    current_deadline,
 )
 from repro.shard.plan import ShardPlan, plan_shards
 
@@ -119,11 +126,19 @@ class _ShardFanout(MatrixFormat):
 
         The parallel paths — the caller's ``executor``, or a pool of
         ``threads`` workers for this one call — need every shard in
-        memory at once; the sequential path visits shards one at a
-        time and calls :meth:`_after_shard` between them, which is
-        where the lazy form streams cold shards back out so one request
-        never holds more than the shard byte budget (plus the shard in
-        flight).
+        memory at once.  The sequential path is a circular scan: it
+        visits shards one at a time from :meth:`_scan_start`, wrapping
+        around, brackets each visit with :meth:`_pin_shard` and
+        :meth:`_after_shard` (the latter also when the visit fails),
+        and places each result at its shard index, so callers combine
+        the results in row order whatever the start.  The eager form
+        starts at 0 and pins nothing.  The lazy form starts where the
+        most recent pass started, so a request arriving mid-pass joins
+        the shard in flight; the pin keeps the visited shard resident
+        for the visit, and :meth:`_after_shard` waits for the shard's
+        other visitors, releases the pin and streams unpinned cold
+        shards back out, so one request never holds more than the
+        shard byte budget plus the shard it is visiting.
         """
         if executor is not None:
             return executor.map_blocks(fn, self._all_shards())
@@ -132,14 +147,27 @@ class _ShardFanout(MatrixFormat):
 
             with BlockExecutor(threads) as pool:
                 return pool.map_blocks(fn, self._all_shards())
-        results = []
-        for i in range(self.n_shards):
-            results.append(fn(self._shard(i), i))
-            self._after_shard(i)
+        n = self.n_shards
+        results: list = [None] * n
+        start = self._scan_start()
+        for step in range(n):
+            i = (start + step) % n
+            self._pin_shard(i)
+            try:
+                results[i] = fn(self._shard(i), i)
+            finally:
+                self._after_shard(i)
         return results
 
+    def _scan_start(self) -> int:
+        """First shard of a sequential pass (base: 0)."""
+        return 0
+
+    def _pin_shard(self, i: int) -> None:
+        """Hook before a sequential shard visit (base: no-op)."""
+
     def _after_shard(self, i: int) -> None:
-        """Hook between sequential shard visits (base: no-op)."""
+        """Hook after a sequential shard visit (base: no-op)."""
 
     def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
         parts = self._map_shards(
@@ -160,32 +188,38 @@ class _ShardFanout(MatrixFormat):
             out += p
         return out
 
-    def _right_panel_kernel(self, threads: int, executor):
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            self._map_shards(
-                lambda s, i: s.right_multiply_matrix(
-                    panel, out=out[self._offsets[i] : self._offsets[i + 1]]
-                ),
-                threads,
-                executor,
-            )
+    def _right_panel(
+        self, panel, out, threads: int, executor, panel_width
+    ) -> None:
+        # One pass per call: each shard gets the whole panel and chunks
+        # it by ``panel_width`` itself, so its decode runs once.
+        self._map_shards(
+            lambda s, i: s.right_multiply_matrix(
+                panel,
+                out=out[self._offsets[i] : self._offsets[i + 1]],
+                panel_width=panel_width,
+            ),
+            threads,
+            executor,
+        )
 
-        return kernel
-
-    def _left_panel_kernel(self, threads: int, executor):
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            parts = self._map_shards(
-                lambda s, i: s.left_multiply_matrix(
-                    panel[self._offsets[i] : self._offsets[i + 1]]
-                ),
-                threads,
-                executor,
-            )
-            out[:] = 0.0
-            for p in parts:
-                out += p
-
-        return kernel
+    def _left_panel(
+        self, panel, out, threads: int, executor, panel_width
+    ) -> None:
+        # The parts are summed in shard order once the pass ends, so the
+        # result is bit-identical whatever shard the scan started at;
+        # the call holds one ``(n_cols, k)`` part per shard until then.
+        parts = self._map_shards(
+            lambda s, i: s.left_multiply_matrix(
+                panel[self._offsets[i] : self._offsets[i + 1]],
+                panel_width=panel_width,
+            ),
+            threads,
+            executor,
+        )
+        out[:] = 0.0
+        for p in parts:
+            out += p
 
     # -- shared accounting ----------------------------------------------------------
 
@@ -334,13 +368,32 @@ class LazyShardedMatrix(_ShardFanout):
     multiplication that needs it and kept as an LRU entry.  When
     ``shard_byte_budget`` is set, the loaded set is trimmed to the
     budget by evicting least-recently-used shards — *between* shard
-    visits on the sequential path (so even one request over a
-    container much larger than the budget only ever holds a budget's
-    worth of shards plus the one in flight), and after the request on
-    the ``threads``/``executor`` paths (which need all shards live at
+    visits on the sequential path, and after the request on the
+    ``threads``/``executor`` paths (which need all shards live at
     once; parallelism deliberately trades the in-request bound for
     speed).  The whole matrix stays registered and servable while only
     a sliding window of shards is resident.
+
+    Concurrent requests share one circular scan.  A sequential pass
+    starts at the shard most recently started by any pass and wraps
+    around; it *pins* the shard it is visiting, and eviction skips
+    pinned shards.  Each shard has at most one load in flight: a
+    request that needs a shard another request is loading waits for
+    that load instead of reading it again, and
+    the shard's retained engine is built once as well
+    (:meth:`~repro.core.gcm.GrammarCompressedMatrix._get_engine`).  So
+    a request arriving mid-pass joins the shard in flight, and a pass
+    leaves a shard only once the other passes visiting it are done,
+    so the passes run in lockstep and a cold shard is loaded, decoded
+    and planned once per scan rather than once per request.  Every
+    wait is bounded by the waiting request's own ambient deadline; if
+    the load it waits for fails or runs out of *its* request's
+    deadline, the waiter loads the shard itself, so no request fails
+    on another's deadline and breakers and retries count only real
+    attempts.  Waits record ``shard.wait`` spans (``on="load"`` or
+    ``on="visit"``).  The budget contract is therefore: the loaded set
+    holds at most the budget plus one in-flight (pinned) shard per
+    concurrent request.
 
     The serving registry (:class:`repro.serve.registry.MatrixRegistry`)
     builds these for ``"sharded"`` entries, passing its own byte budget
@@ -393,9 +446,15 @@ class LazyShardedMatrix(_ShardFanout):
         self._budget = shard_byte_budget
         self._retain_plans = bool(retain_plans)
         self._lock = threading.RLock()
+        self._visit_ended = threading.Condition(self._lock)
         self._loaded: dict[int, object] = {}
         self._last_use: dict[int, int] = {}
         self._tick = 0
+        # Shared-scan state: pins held by passes visiting a shard, the
+        # one load in flight per shard, and the most recent pass start.
+        self._pins: dict[int, int] = {}
+        self._inflight: dict[int, threading.Event] = {}
+        self._scan_head = 0
         self._retry = retry_policy or RetryPolicy(
             max_attempts=3, base_delay=0.01, max_delay=0.25
         )
@@ -542,15 +601,52 @@ class LazyShardedMatrix(_ShardFanout):
         return loads_matrix(blob)
 
     def _shard(self, i: int):
-        with self._lock:
-            self._tick += 1
-            self._last_use[i] = self._tick
-            shard = self._loaded.get(i)
-            if shard is not None:
-                # Warm path: no span — the request-level span already
-                # covers it, and per-hit span churn would show up in
-                # the obs_overhead gate.
-                return shard
+        """Shard ``i``, loading it when cold — one load in flight per shard.
+
+        A request that finds another request's load of the shard in
+        flight waits for it rather than reading the shard again; when
+        that load fails (or its request's deadline ends it), the first
+        waiter to wake loads the shard itself.
+        """
+        while True:
+            with self._lock:
+                shard = self._loaded.get(i)
+                if shard is not None:
+                    self._tick += 1
+                    self._last_use[i] = self._tick
+                    # Warm path: no span — the request-level span
+                    # already covers it, and per-hit span churn would
+                    # show up in the obs_overhead gate.
+                    return shard
+                flight = self._inflight.get(i)
+                if flight is None:
+                    flight = self._inflight[i] = threading.Event()
+                    break
+            self._await_load(i, flight)
+        try:
+            return self._load_and_publish(i)
+        finally:
+            with self._lock:
+                del self._inflight[i]
+            flight.set()
+
+    def _await_load(self, i: int, flight: threading.Event) -> None:
+        """Wait for another request's load of shard ``i`` to end.
+
+        Bounded by the ambient deadline: raises
+        :class:`~repro.errors.DeadlineExceededError` once the waiting
+        request's own budget is spent, whatever the loader's is.
+        """
+        deadline = current_deadline()
+        with span("shard.wait", shard=i, on="load"):
+            if deadline is None:
+                flight.wait()
+                return
+            while not flight.wait(max(deadline.remaining(), 0.0)):
+                deadline.check(f"shard {i} load of {self._path}")
+
+    def _load_and_publish(self, i: int):
+        """Load shard ``i`` under its breaker and retries, then publish it."""
         check_deadline(f"shard {i} load of {self._path}")
         with span("shard.load", shard=i, mmap=self._mmap):
             breaker = self.shard_breaker(i)
@@ -596,11 +692,12 @@ class LazyShardedMatrix(_ShardFanout):
             if self._retain_plans:
                 shard.enable_plan_retention(True)
             with self._lock:
-                # A concurrent load of the same shard may have won.
-                existing = self._loaded.get(i)
-                if existing is not None:
-                    return existing
+                # The LRU tick is set on publication, under the lock, so
+                # a whole-matrix eviction during the load cannot leave a
+                # loaded shard without one.
                 self._loaded[i] = shard
+                self._tick += 1
+                self._last_use[i] = self._tick
                 self._shard_loads.inc()
                 return shard
 
@@ -619,18 +716,23 @@ class LazyShardedMatrix(_ShardFanout):
         )
 
     def enforce_shard_budget(self) -> int:
-        """Evict LRU shards until the loaded set fits the budget.
+        """Evict unpinned LRU shards until the loaded set fits the budget.
 
         Returns the number of shards evicted.  With no budget this is
-        a no-op.  All loaded shards may be evicted — a cold shard
-        reloads on its next use, so the matrix always stays servable.
+        a no-op.  Every loaded shard may be evicted except those pinned
+        by a pass visiting them — a cold shard reloads on its next use,
+        so the matrix always stays servable, and the loaded set exceeds
+        the budget by at most one pinned shard per concurrent request.
         """
         if self._budget is None:
             return 0
         evicted = 0
         with self._lock:
-            while self._loaded and self.resident_shard_bytes() > self._budget:
-                victim = min(self._loaded, key=lambda i: self._last_use[i])
+            while self.resident_shard_bytes() > self._budget:
+                unpinned = [i for i in self._loaded if i not in self._pins]
+                if not unpinned:
+                    break
+                victim = min(unpinned, key=self._last_use.__getitem__)
                 shard = self._loaded.pop(victim)
                 shard.release_retained_plans()
                 self._shard_evictions.inc()
@@ -645,9 +747,47 @@ class LazyShardedMatrix(_ShardFanout):
             self._loaded.clear()
             self._last_use.clear()
 
+    def _scan_start(self) -> int:
+        """A new pass joins the scan at the most recently started shard."""
+        with self._lock:
+            return self._scan_head
+
+    def _pin_shard(self, i: int) -> None:
+        """Keep shard ``i`` resident while a pass visits it."""
+        with self._lock:
+            self._pins[i] = self._pins.get(i, 0) + 1
+            self._scan_head = i
+
     def _after_shard(self, i: int) -> None:
-        """Stream cold shards out between sequential shard visits."""
+        """Release the visit's pin and stream cold shards out.
+
+        When other passes are still visiting shard ``i``, the pass
+        first waits (within its own deadline) for them to finish it, so
+        passes that share a shard move on together and share the next
+        load too.  Without the wait, the pass that does the loads keeps
+        the interpreter lock and runs ahead, and its budget checks evict
+        each next shard before the other pass reaches it.
+        """
+        with self._lock:
+            pins = self._pins.pop(i) - 1
+            if pins:
+                self._pins[i] = pins
+                self._await_visitors_locked(i)
+            else:
+                self._visit_ended.notify_all()
         self.enforce_shard_budget()
+
+    def _await_visitors_locked(self, i: int) -> None:
+        """Wait until no other pass is visiting shard ``i`` (lock held)."""
+        deadline = current_deadline()
+        with span("shard.wait", shard=i, on="visit"):
+            while i in self._pins:
+                if deadline is None:
+                    self._visit_ended.wait()
+                elif deadline.remaining() <= 0:
+                    return  # never wait past the pass's own deadline
+                else:
+                    self._visit_ended.wait(deadline.remaining())
 
     # -- budget hooks on the public kernel surface ------------------------------------
 

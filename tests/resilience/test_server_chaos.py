@@ -105,6 +105,60 @@ class TestChaosScenarios:
         assert stats["registry"]["shard_retries"] >= 1
 
 
+class TestConcurrentSharedScans:
+    def test_overlapping_requests_answer_exact_or_typed_504(self, store):
+        """Concurrent clients on a lazily served matrix under a tiny budget,
+        every shard load slow and every request on a deadline."""
+        import threading
+
+        import numpy as np
+
+        root, matrices = store
+        dense = matrices["beta"]
+        registry = MatrixRegistry(root=root, byte_budget=1)
+        server = MatrixServer(
+            registry, port=0, job_workers=1, request_deadline_ms=100
+        )
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(dense.shape[1])
+        y = rng.standard_normal(dense.shape[0])
+        answers: list = []
+
+        def client(j: int) -> None:
+            for r in range(5):
+                op, vec, want = (
+                    ("right", x, dense @ x) if (j + r) % 2 else
+                    ("left", y, y @ dense)
+                )
+                status, body, headers = http_post(
+                    f"{server.url}/multiply",
+                    {"matrix": "beta", "op": op, "vectors": [vec.tolist()]},
+                )
+                answers.append((status, body, headers, want))
+
+        plan = FaultPlan().slow_load(f"{root}/beta.gcmx", seconds=0.03)
+        with server.start(), fault_injection(plan):
+            threads = [
+                threading.Thread(target=client, args=(j,)) for j in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            stats = http_get(f"{server.url}/stats")[1]["registry"]
+        assert len(answers) == 20
+        for status, body, headers, want in answers:
+            if status == 200:
+                assert np.allclose(body["result"][0], want)
+            else:
+                assert status == 504, (status, body)
+                assert int(headers["Retry-After"]) >= 1
+        assert plan.events  # the slow loads fired
+        # Every pin was released: the one-byte budget holds no shard.
+        assert stats["resident_shards"] == 0
+
+
 class TestBreakerObservability:
     def test_quarantine_visible_then_recovers(self, chaos):
         server, root, matrices = chaos

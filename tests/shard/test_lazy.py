@@ -278,3 +278,363 @@ class TestServedOverHttp:
                 urllib.request.urlopen(f"{server.url}/stats", timeout=10).read()
             )
             assert stats["registry"]["shard_loads"] >= 3
+
+
+# -- one pass per panel call ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mnist_re_ans(tmp_path_factory):
+    """A 4-shard ``re_ans`` container of 400 mnist2m rows, and its dense form."""
+    from repro.datasets import get_dataset
+
+    dense = get_dataset("mnist2m", n_rows=400).matrix
+    sm = build_sharded(dense, n_shards=4, format="re_ans", strategy="batch")
+    path = tmp_path_factory.mktemp("mnist") / "m.gcmx"
+    save_matrix(sm, path)
+    return path, dense
+
+
+def _panel_op(matrix, op: str, k: int, dense, rng):
+    """One ``panel_width=64`` panel multiply and its dense reference."""
+    if op == "right":
+        X = rng.standard_normal((dense.shape[1], k))
+        return matrix.right_multiply_matrix(X, panel_width=64), dense @ X
+    Y = rng.standard_normal((dense.shape[0], k))
+    return matrix.left_multiply_matrix(Y, panel_width=64), dense.T @ Y
+
+
+class TestPanelPasses:
+    """A panel call visits each shard once, however many chunks it spans."""
+
+    @pytest.mark.parametrize("op", ["right", "left"])
+    @pytest.mark.parametrize("k", [64, 65, 130])
+    def test_lazy_loads_each_shard_once_per_call(self, mnist_re_ans, op, k, rng):
+        path, dense = mnist_re_ans
+        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        got, want = _panel_op(lazy, op, k, dense, rng)
+        assert np.allclose(got, want)
+        assert lazy.shard_loads == 4
+        assert lazy.resident_shards == 0
+
+    @pytest.mark.parametrize("op", ["right", "left"])
+    @pytest.mark.parametrize("k", [64, 65, 130])
+    def test_eager_decodes_each_shard_once_per_call(
+        self, mnist_re_ans, op, k, rng, monkeypatch
+    ):
+        from repro.core.gcm import GrammarCompressedMatrix
+        from repro.io.serialize import load_matrix
+
+        path, dense = mnist_re_ans
+        eager = load_matrix(path)
+        decodes = []
+        original = GrammarCompressedMatrix.decode_grammar
+
+        def counting_decode(self):
+            decodes.append(self)
+            return original(self)
+
+        monkeypatch.setattr(
+            GrammarCompressedMatrix, "decode_grammar", counting_decode
+        )
+        got, want = _panel_op(eager, op, k, dense, rng)
+        assert np.allclose(got, want)
+        assert len(decodes) == 4
+
+
+class TestEvictionDuringLoad:
+    def test_whole_eviction_mid_load_leaves_budget_check_working(
+        self, tmp_path, rng
+    ):
+        """A whole-matrix eviction between a shard's read and its
+        publication must not break the next budget check."""
+        from repro.datasets import get_dataset
+
+        dense = get_dataset("census", n_rows=300).matrix
+        path = tmp_path / "census.gcmx"
+        save_matrix(build_sharded(dense, n_shards=3), path)
+        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        original = lazy._load_shard
+
+        def evicting_load(i):
+            shard = original(i)
+            lazy.evict_all_shards()  # what the registry's evict() calls
+            return shard
+
+        lazy._load_shard = evicting_load
+        x = rng.standard_normal(dense.shape[1])
+        assert np.allclose(lazy @ x, dense @ x)
+        assert lazy.shard_loads == 3
+        assert lazy.resident_shards == 0
+
+
+# -- shared scans: overlapping requests on one lazily served matrix ---------------------
+
+
+def _run_threads(targets, timeout: float = 30.0) -> list:
+    """Run each callable on its own thread; return results (or raised errors)."""
+    import threading
+
+    results: list = [None] * len(targets)
+
+    def runner(j, fn):
+        try:
+            results[j] = fn()
+        except Exception as exc:  # handed back for the test to assert on
+            results[j] = exc
+
+    threads = [
+        threading.Thread(target=runner, args=(j, fn), daemon=True)
+        for j, fn in enumerate(targets)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads), "a pass never finished"
+    return results
+
+
+def _wait_for_event(plan, kind: str, timeout: float = 10.0) -> None:
+    """Block until the fault plan has fired a ``kind`` fault."""
+    import time
+
+    end = time.monotonic() + timeout
+    while not any(e[2] == kind for e in plan.events):
+        assert time.monotonic() < end, f"no {kind} fault fired"
+        time.sleep(0.001)
+
+
+def _single_pass(path, op: str, operand) -> np.ndarray:
+    lazy = LazyShardedMatrix(path)
+    return lazy @ operand if op == "right" else operand @ lazy
+
+
+class TestSharedScan:
+    @pytest.mark.parametrize("op", ["right", "left"])
+    def test_overlapping_passes_load_each_shard_once(
+        self, container, dense, rng, op
+    ):
+        import threading
+
+        from repro.resilience.faults import FaultPlan, fault_injection
+
+        path, _ = container
+        operand = rng.standard_normal(dense.shape[1 if op == "right" else 0])
+        reference = _single_pass(path, op, operand)
+        lazy = LazyShardedMatrix(path)
+        barrier = threading.Barrier(2)
+
+        def one_pass():
+            barrier.wait()
+            return lazy @ operand if op == "right" else operand @ lazy
+
+        plan = FaultPlan().slow_load(str(path), seconds=0.05)
+        with fault_injection(plan):
+            results = _run_threads([one_pass, one_pass])
+        # One read per shard: the second pass waited for the first's loads.
+        assert lazy.shard_loads == lazy.n_shards
+        assert len(plan.events) == lazy.n_shards
+        want = dense @ operand if op == "right" else operand @ dense
+        for got in results:
+            assert isinstance(got, np.ndarray), got
+            assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+            assert np.allclose(got, want)
+
+    def test_waiter_deadline_expires_during_loaders_slow_load(
+        self, container, dense, rng
+    ):
+        import threading
+
+        from repro.errors import DeadlineExceededError
+        from repro.resilience.faults import FaultPlan, fault_injection
+        from repro.resilience.policy import Deadline, deadline_scope
+
+        path, _ = container
+        x = rng.standard_normal(dense.shape[1])
+        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        answers: list = []
+        loader = threading.Thread(target=lambda: answers.append(lazy @ x))
+
+        plan = FaultPlan().slow_load(f"{path}#shard0", seconds=0.4, times=1)
+        with fault_injection(plan):
+            loader.start()
+            _wait_for_event(plan, "slow")  # the loader is reading shard 0
+            with deadline_scope(Deadline(0.05)):
+                with pytest.raises(DeadlineExceededError):
+                    lazy @ x
+            loader.join(30)
+        assert not loader.is_alive()
+        assert np.allclose(answers[0], dense @ x)
+        assert lazy.shard_loads == lazy.n_shards  # the waiter loaded nothing
+        # The waiter's pin went with it: everything streamed back out.
+        assert lazy.resident_shard_bytes() <= 1
+
+    def test_failed_load_is_taken_over_by_the_waiter(
+        self, container, dense, rng
+    ):
+        import threading
+
+        from repro.errors import ShardUnavailableError
+        from repro.resilience.faults import FaultPlan, fault_injection
+
+        path, _ = container
+        x = rng.standard_normal(dense.shape[1])
+        lazy = LazyShardedMatrix(path)
+        plan = (
+            FaultPlan()
+            .slow_load(f"{path}#shard0", seconds=0.05)
+            .fail(f"{path}#shard0", times=3)  # every attempt of the loader
+        )
+        outcome: list = []
+
+        def loader():
+            try:
+                outcome.append(lazy @ x)
+            except ShardUnavailableError as exc:
+                outcome.append(exc)
+
+        with fault_injection(plan):
+            thread = threading.Thread(target=loader)
+            thread.start()
+            _wait_for_event(plan, "slow")
+            answer = lazy @ x  # joins the failing load, then loads itself
+            thread.join(30)
+        assert not thread.is_alive()
+        assert isinstance(outcome[0], ShardUnavailableError)
+        assert np.allclose(answer, dense @ x)
+        assert lazy.shard_failures == 1  # only the loader's real attempts
+        assert lazy.shard_retries == 2
+
+    def test_passes_sharing_a_shard_move_on_together(
+        self, container, dense, rng
+    ):
+        """The faster of two passes waits for the slower at every shard
+        they share, so under a one-byte budget no shard loads twice."""
+        import threading
+        import time
+
+        from repro.resilience.faults import FaultPlan, fault_injection
+
+        path, _ = container
+        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        load = lazy._load_shard
+
+        def load_with_slow_left(i):
+            shard = load(i)
+            left = shard.left_multiply
+
+            def slow_left(*args, **kwargs):
+                time.sleep(0.02)
+                return left(*args, **kwargs)
+
+            shard.left_multiply = slow_left
+            return shard
+
+        lazy._load_shard = load_with_slow_left
+        x = rng.standard_normal(dense.shape[1])
+        y = rng.standard_normal(dense.shape[0])
+        barrier = threading.Barrier(2)
+
+        def right():
+            barrier.wait()
+            return lazy @ x
+
+        def left():
+            barrier.wait()
+            return y @ lazy
+
+        # Shard 0 loads slowly, so both passes meet there.
+        plan = FaultPlan().slow_load(f"{path}#shard0", seconds=0.1, times=1)
+        with fault_injection(plan):
+            got_right, got_left = _run_threads([right, left])
+        assert np.allclose(got_right, dense @ x)
+        assert np.allclose(got_left, y @ dense)
+        assert lazy.shard_loads == lazy.n_shards
+
+    def test_pinned_shard_survives_another_pass_budget_check(
+        self, container, dense, rng
+    ):
+        path, sm = container
+        per_shard = [s.size_bytes() + s.resident_overhead_bytes()
+                     for s in sm.shards]
+        budget = max(per_shard)  # room for one shard
+        lazy = LazyShardedMatrix(path, shard_byte_budget=budget)
+        lazy._pin_shard(0)  # one pass is visiting shard 0 ...
+        lazy._shard(0)
+        for i in (1, 2):  # ... while another visits the rest
+            lazy._pin_shard(i)
+            lazy._shard(i)
+            lazy._after_shard(i)  # its budget check: shard 0 is the LRU
+        loads = lazy.shard_loads
+        lazy._shard(0)
+        assert lazy.shard_loads == loads, "the pinned shard was evicted"
+        assert lazy.resident_shards == 1
+        lazy._after_shard(0)  # the visit ends: its pin is released
+        assert lazy.resident_shard_bytes() <= budget
+
+    def test_concurrent_first_multiplies_build_one_plan(self, rng, monkeypatch):
+        import time
+
+        import repro
+        from repro.core.gcm import plan_cache
+        from repro.core.multiply import MvmPlan
+
+        matrix = repro.compress(
+            mixed_matrix(rng), format="re_ans", strategy="batch"
+        )
+        matrix.enable_plan_retention(True)
+        plan_cache().discard(matrix.grammar_fingerprint())
+        builds = []
+        original = MvmPlan.from_grammar
+
+        def slow_build(grammar, n_cols):
+            builds.append(n_cols)
+            time.sleep(0.05)
+            return original(grammar, n_cols)
+
+        monkeypatch.setattr(MvmPlan, "from_grammar", slow_build)
+        x = rng.standard_normal(matrix.shape[1])
+        try:
+            results = _run_threads([lambda: matrix @ x, lambda: matrix @ x])
+        finally:
+            plan_cache().discard(matrix.grammar_fingerprint())
+        assert len(builds) == 1
+        assert np.array_equal(results[0], results[1])
+
+    def test_stress_overlapping_passes_stay_exact_and_bounded(
+        self, container, dense, rng
+    ):
+        """More passes than cores over a one-byte budget, with frequent
+        thread switches: every answer is exact and no pin or in-flight
+        load outlives its pass."""
+        import sys
+
+        path, _ = container
+        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        x = rng.standard_normal(dense.shape[1])
+        y = rng.standard_normal(dense.shape[0])
+        want_right = _single_pass(path, "right", x)
+        want_left = _single_pass(path, "left", y)
+
+        def client(j):
+            def run():
+                ok = True
+                for r in range(6):
+                    if (j + r) % 2:
+                        ok &= np.array_equal(lazy @ x, want_right)
+                    else:
+                        ok &= np.array_equal(y @ lazy, want_left)
+                return ok
+
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _run_threads([client(j) for j in range(6)], timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 6
+        assert lazy._pins == {} and lazy._inflight == {}
+        assert lazy.resident_shard_bytes() <= 1
