@@ -17,6 +17,7 @@ import numpy as np
 
 import repro
 from repro.bench.memory import peak_mvm_pct
+from repro.serve.executor import BlockExecutor
 
 
 def main() -> None:
@@ -35,9 +36,12 @@ def main() -> None:
 
     # Run the Eq. (4) iteration to convergence.  ``repro.solve`` drives
     # any registered algorithm over any format; `power` is this loop.
-    result = repro.solve(
-        compressed, algorithm="power", iterations=200, tol=1e-12, threads=8
-    )
+    # One 8-worker pool runs the blocks in parallel for every iteration.
+    with BlockExecutor(8) as executor:
+        result = repro.solve(
+            compressed, algorithm="power", iterations=200, tol=1e-12,
+            executor=executor,
+        )
     latency = result.trace.latency_summary()
     print(
         f"converged={result.converged} after {result.iterations} iterations "

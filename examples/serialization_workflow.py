@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import get_dataset, load_matrix, save_matrix
 from repro.reorder import compress_with_reordering
+from repro.serve.executor import BlockExecutor
 
 
 def main() -> None:
@@ -40,11 +41,12 @@ def main() -> None:
         # Consumer: reload and serve queries without the original data.
         loaded = load_matrix(path)
         rng = np.random.default_rng(7)
-        for i in range(3):
-            x = rng.standard_normal(matrix.shape[1])
-            y = loaded.right_multiply(x, threads=4)
-            assert np.allclose(y, matrix @ x)
-            print(f"query {i + 1}: served y = Mx from the loaded blob  ✓")
+        with BlockExecutor(4) as executor:
+            for i in range(3):
+                x = rng.standard_normal(matrix.shape[1])
+                y = loaded.right_multiply(x, executor=executor)
+                assert np.allclose(y, matrix @ x)
+                print(f"query {i + 1}: served y = Mx from the loaded blob  ✓")
 
         assert np.array_equal(loaded.to_dense(), matrix)
         print("loaded matrix is bit-identical to the original     ✓")

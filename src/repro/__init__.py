@@ -25,8 +25,8 @@ True
 True
 
 ``gm @ x`` / ``y @ gm``, ``right_multiply`` / ``left_multiply``, the
-batched panel kernels (``right_multiply_matrix(X, out=..., threads=...,
-executor=..., panel_width=...)``), ``size_bytes`` / ``size_breakdown``
+batched panel kernels (``right_multiply_matrix(X, out=..., executor=...,
+panel_width=...)``), ``size_bytes`` / ``size_breakdown``
 and ``save_matrix`` / ``load_matrix`` work identically for every name
 in :func:`repro.formats.available`.  The historical per-class entry
 points (``GrammarCompressedMatrix.compress``, ``CSRVMatrix.from_dense``,

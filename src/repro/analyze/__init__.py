@@ -17,8 +17,7 @@ RA02  kind-tag integrity (unique tags, complete save/load/peek codecs)
 RA03  lock discipline (underscore attrs written outside ``self._lock``)
 RA04  broad-except boundaries (``except Exception`` only where allowed)
 RA05  kernel ``out=`` contract (return ``out`` when it is provided)
-RA06  executor plumbing (multiply entry points forward ``threads=`` /
-      ``executor=``)
+RA06  executor plumbing (multiply entry points forward ``executor=``)
 
 Waivers are trailing comments — ``# ra: <tag> — <reason>`` — with a
 mandatory reason; see :mod:`repro.analyze.findings` for the tag table.

@@ -4,9 +4,9 @@ Each rule is a function ``rule(source: SourceFile) -> list[Finding]``
 over one parsed file.  The rules encode *this repo's* conventions —
 they know that serve-layer classes guard shared state with
 ``self._lock``, that ``formats/base.py`` kernels return their ``out=``
-buffer, and that multiply entry points thread ``threads=`` /
-``executor=`` through to the block executor — so they catch the class
-of bug a generic linter structurally cannot.
+buffer, and that multiply entry points thread ``executor=`` through
+to the block executor — so they catch the class of bug a generic
+linter structurally cannot.
 """
 
 from __future__ import annotations
@@ -397,15 +397,15 @@ def _mentions_any(expr: ast.AST | None, names: set[str]) -> bool:
 
 
 def check_executor_plumbing(source) -> list[Finding]:
-    """RA06: multiply entry points accept and forward ``threads``/``executor``.
+    """RA06: multiply entry points accept and forward ``executor``.
 
     The block executor only helps if every public multiply path can
     reach it: an override of a :class:`MatrixFormat` multiply method
-    (or a module-level ``*_multiply*`` helper) that drops ``threads=``
-    or ``executor=`` silently serializes the whole serving path.
-    Accepting ``**kwargs`` and splatting it into a delegate call
-    counts as forwarding both.  Deliberately serial baselines carry
-    ``# ra: executor — <reason>`` on the ``def`` line.
+    (or a module-level ``*_multiply*`` helper) that drops ``executor=``
+    silently serializes the whole serving path.  Accepting ``**kwargs``
+    and splatting it into a delegate call counts as forwarding it.
+    Deliberately serial baselines carry ``# ra: executor — <reason>``
+    on the ``def`` line.
     """
     tag = RULE_WAIVER_TAGS["RA06"]
     findings: list[Finding] = []
@@ -463,25 +463,14 @@ def _matrix_format_classes(tree: ast.Module) -> set[str]:
 
 def _check_plumbing(source, node, scope: str, tag: str) -> list[Finding]:
     params = _function_params(node)
-    has_kwargs = _has_kwargs(node)
-    missing: list[str] = []
-    unforwarded: list[str] = []
-    for name in ("threads", "executor"):
-        if name in params:
-            if not _loads_in_body(node, name) and not _forwards_kwargs(node):
-                unforwarded.append(name)
-        elif has_kwargs:
-            if not _forwards_kwargs(node):
-                unforwarded.append(name)
-        else:
-            missing.append(name)
-    problems = []
-    if missing:
-        problems.append(f"missing parameter(s): {', '.join(missing)}")
-    if unforwarded:
-        problems.append(f"accepted but never forwarded: {', '.join(unforwarded)}")
-    if not problems:
+    if _forwards_kwargs(node) or (
+        "executor" in params and _loads_in_body(node, "executor")
+    ):
         return []
+    if "executor" in params or _has_kwargs(node):
+        problem = "accepted but never forwarded"
+    else:
+        problem = "missing parameter"
     if source.waivers.covers(node.lineno, tag):
         return []
     return [
@@ -490,11 +479,11 @@ def _check_plumbing(source, node, scope: str, tag: str) -> list[Finding]:
             path=source.rel,
             line=node.lineno,
             scope=scope,
-            detail=",".join(missing + unforwarded) or "plumbing",
+            detail="executor",
             message=(
                 f"{scope} is a multiply entry point but breaks the "
-                f"executor plumbing ({'; '.join(problems)}); accept and "
-                "forward threads=/executor= (or **kwargs), or waive with "
+                f"executor plumbing ({problem}: executor); accept and "
+                "forward executor= (or **kwargs), or waive with "
                 "`# ra: executor — <reason>`"
             ),
         )

@@ -12,16 +12,13 @@ global one.
 
 from __future__ import annotations
 
-import ast
 import inspect
-import textwrap
 
 from repro.analyze.findings import Finding
 
-#: The capability flags RA01 validates, mapped to how each one is
-#: grounded in the class: a method override, or a source-level use of
-#: the named parameter.
-CAPABILITY_FLAGS = ("supports_plan_cache", "supports_executor", "supports_threads")
+#: The capability flags RA01 validates, each grounded in a method
+#: override of the class.
+CAPABILITY_FLAGS = ("supports_plan_cache",)
 
 
 def _spec_location(spec) -> tuple[str, int]:
@@ -43,55 +40,21 @@ def _overrides(cls: type, method: str) -> bool:
     return impl is not None and impl is not base_impl
 
 
-def _class_mentions(cls: type, name: str) -> bool:
-    """Any class in ``cls``'s repro-side MRO reads ``name``.
-
-    Walks the MRO down to (but excluding) ``MatrixFormat`` — the base
-    forwards ``threads``/``executor`` generically, so only a subclass's
-    own use of the name demonstrates the capability.
-    """
-    from repro.formats.base import MatrixFormat
-
-    for klass in cls.__mro__:
-        if klass in (MatrixFormat, object):
-            continue
-        try:
-            src = textwrap.dedent(inspect.getsource(klass))
-        except (OSError, TypeError):
-            continue
-        try:
-            tree = ast.parse(src)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Name)
-                and node.id == name
-                and isinstance(node.ctx, ast.Load)
-            ):
-                return True
-    return False
-
-
 def check_capabilities(specs: dict) -> list[Finding]:
     """RA01: capability flags match what the class actually implements.
 
     ``supports_plan_cache`` must coincide with an override of
-    ``enable_plan_retention`` (the base's is a documented no-op);
-    ``supports_executor`` / ``supports_threads`` must coincide with the
-    class hierarchy actually *reading* ``executor`` / ``threads``
-    somewhere below :class:`MatrixFormat`.  Both directions are errors:
-    an over-claim makes the serve layer dispatch work the format drops
-    on the floor, an under-claim (flag False, capability real) hides a
-    faster path from every capability-querying call site.
+    ``enable_plan_retention`` (the base's is a documented no-op).  Both
+    directions are errors: an over-claim makes the serve layer dispatch
+    work the format drops on the floor, an under-claim (flag False,
+    capability real) hides a faster path from every capability-querying
+    call site.
     """
     findings: list[Finding] = []
     checked: set[type] = set()
     for spec in specs.values():
         capability: dict[str, bool] = {
             "supports_plan_cache": _overrides(spec.cls, "enable_plan_retention"),
-            "supports_executor": _class_mentions(spec.cls, "executor"),
-            "supports_threads": _class_mentions(spec.cls, "threads"),
         }
         checked.add(spec.cls)
         for flag in CAPABILITY_FLAGS:

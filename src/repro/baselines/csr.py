@@ -64,19 +64,19 @@ class _ScipyBackedMatrix(MatrixFormat):
 
     # -- kernels (scipy SpMV / SpMM) -----------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
         return self._csr @ x
 
-    def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
         return self._csr.T @ y
 
-    def _right_panel_kernel(self, threads: int, executor):
+    def _right_panel_kernel(self, executor):
         def kernel(panel: np.ndarray, out: np.ndarray) -> None:
             out[:] = self._csr @ panel
 
         return kernel
 
-    def _left_panel_kernel(self, threads: int, executor):
+    def _left_panel_kernel(self, executor):
         def kernel(panel: np.ndarray, out: np.ndarray) -> None:
             out[:] = self._csr.T @ panel
 

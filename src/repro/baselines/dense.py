@@ -37,16 +37,16 @@ class DenseMatrix(MatrixFormat):
 
     # -- kernels (all BLAS) --------------------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
         return self._m @ x
 
-    def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
         return y @ self._m
 
-    def _right_panel_kernel(self, threads: int, executor):
+    def _right_panel_kernel(self, executor):
         return lambda panel, out: np.matmul(self._m, panel, out=out)
 
-    def _left_panel_kernel(self, threads: int, executor):
+    def _left_panel_kernel(self, executor):
         return lambda panel, out: np.matmul(self._m.T, panel, out=out)
 
     # -- accounting ----------------------------------------------------------------

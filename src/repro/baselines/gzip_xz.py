@@ -59,17 +59,17 @@ class _WholeFileCompressedMatrix(MatrixFormat):
 
     # -- kernels (decompress, then BLAS) --------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
         return self.to_dense() @ x
 
-    def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
         return y @ self.to_dense()
 
-    def _right_panel_kernel(self, threads: int, executor):
+    def _right_panel_kernel(self, executor):
         dense = self.to_dense()  # one decompression for the whole panel
         return lambda panel, out: np.matmul(dense, panel, out=out)
 
-    def _left_panel_kernel(self, threads: int, executor):
+    def _left_panel_kernel(self, executor):
         dense = self.to_dense()
         return lambda panel, out: np.matmul(dense.T, panel, out=out)
 

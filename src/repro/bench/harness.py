@@ -65,7 +65,7 @@ def run_iterations(
     threads: int = 1,
     x0: np.ndarray | None = None,
     reference: np.ndarray | None = None,
-    parallel_model: str = "threads",
+    parallel_model: str = "executor",
 ) -> IterationResult:
     """Run the Eq. (4) loop on any matrix representation.
 
@@ -78,36 +78,40 @@ def run_iterations(
         Loop count (the paper uses 500; benchmarks here use less —
         the per-iteration mean is what is compared).
     threads:
-        Worker threads passed through to blocked/CLA representations.
+        The paper's thread count: it sizes the executor pool, the LPT
+        model's worker count and the modelled peak memory.
     x0:
         Starting vector; defaults to all ones.
     reference:
         Optional dense matrix; when given, every ``y`` and ``z`` is
         checked against numpy and the max deviation reported.
     parallel_model:
-        ``"threads"`` uses a per-call thread pool (CPython's GIL caps
-        its speedup — see :mod:`repro.bench.parallel`);
-        ``"executor"`` uses one persistent
-        :class:`repro.serve.executor.BlockExecutor` for the whole run
-        (the serving configuration — pool startup paid once);
-        ``"simulated"`` multiplies blocks sequentially and reports the
-        LPT-schedule makespan on ``threads`` workers, the model the
-        multithread benchmarks use to reproduce the paper's Figure
-        3/Table 2 timing shape.  Only row-partitioned (blocked or
-        sharded) matrices distinguish the three.
+        ``"executor"`` (the default) measures the loop on one
+        persistent :class:`repro.serve.executor.BlockExecutor` of
+        ``threads`` workers, handed to every format — the serving
+        configuration, pool startup paid once; at ``threads=1`` no
+        pool is built and the loop runs serially.  ``"simulated"``
+        multiplies the blocks of a row-partitioned (blocked or
+        sharded) matrix sequentially and reports the LPT-schedule
+        makespan on ``threads`` workers, the model the multithread
+        benchmarks use to reproduce the paper's Figure 3/Table 2
+        timing shape; any other matrix is measured as under
+        ``"executor"``.
     """
     n, m = matrix.shape
     if iterations < 1:
         raise MatrixFormatError(f"iterations must be >= 1, got {iterations}")
-    if parallel_model not in ("threads", "simulated", "executor"):
+    if threads < 1:
+        raise MatrixFormatError(f"threads must be >= 1, got {threads}")
+    if parallel_model not in ("executor", "simulated"):
         raise MatrixFormatError(
             f"unknown parallel_model {parallel_model!r}; "
-            "expected 'threads', 'simulated' or 'executor'"
+            "expected 'executor' or 'simulated'"
         )
     partitioned = isinstance(matrix, (ShardedMatrix, LazyShardedMatrix))
     simulate = parallel_model == "simulated" and partitioned
     executor = None
-    if parallel_model == "executor" and partitioned:
+    if threads > 1 and not simulate:
         from repro.serve.executor import BlockExecutor
 
         executor = BlockExecutor(workers=threads)
@@ -170,7 +174,6 @@ def run_iterations(
                 iterations=iterations,
                 tol=None,
                 x0=x,
-                threads=threads,
                 executor=executor,
                 retain_plans=False,
                 observer=observer,
@@ -228,7 +231,7 @@ def bench_formats(
     iterations: int = 10,
     threads: int = 1,
     n_blocks: int = 1,
-    parallel_model: str = "threads",
+    parallel_model: str = "executor",
     reference: np.ndarray | None = None,
     build_opts: dict | None = None,
 ) -> list[FormatBenchResult]:

@@ -11,10 +11,9 @@
    :class:`repro.serve.executor.BlockExecutor`, mirroring CLA's
    multithreaded executor — and accumulate into shared output vectors.
 
-Parallelism routes through the same ``BlockExecutor`` the row-sharded
-and blocked matrices use (the serving layer passes one persistent pool
-via ``executor=``; a bare ``threads=N`` spins up a short-lived one), so
-the whole package has exactly one pool implementation.
+Parallelism routes through the same persistent ``BlockExecutor`` the
+row-sharded and blocked matrices use (passed as ``executor=``), so the
+whole package has exactly one pool implementation.
 """
 
 from __future__ import annotations
@@ -142,36 +141,22 @@ class CLAMatrix(MatrixFormat):
 
     # -- multiplication ----------------------------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
         """``y = M x`` over the compressed groups."""
-        if (executor is None and threads <= 1) or len(self._groups) == 1:
+        if executor is None or len(self._groups) == 1:
             y = np.zeros(self._shape[0], dtype=np.float64)
             for g in self._groups:
                 g.right_mvm(x, y)
             return y
         fn = partial(_right_group_partial, x=x, n_rows=self._shape[0])
-        return np.sum(self._map_groups(fn, threads, executor), axis=0)
+        return np.sum(executor.map_blocks(fn, self._groups), axis=0)
 
-    def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
         """``xᵗ = yᵗ M`` over the compressed groups."""
-        if (executor is None and threads <= 1) or len(self._groups) == 1:
+        if executor is None or len(self._groups) == 1:
             x = np.zeros(self._shape[1], dtype=np.float64)
             for g in self._groups:
                 g.left_mvm(y, x)
             return x
         fn = partial(_left_group_partial, y=y, n_cols=self._shape[1])
-        return np.sum(self._map_groups(fn, threads, executor), axis=0)
-
-    def _map_groups(self, fn, threads: int, executor) -> list:
-        """Apply ``fn(group, i)`` to every group on a ``BlockExecutor``.
-
-        A caller-provided executor (the serving layer's persistent
-        pool) is used as-is; a bare ``threads=N`` request spins up a
-        short-lived pool of that size.
-        """
-        if executor is not None:
-            return executor.map_blocks(fn, self._groups)
-        from repro.serve.executor import BlockExecutor
-
-        with BlockExecutor(threads) as pool:
-            return pool.map_blocks(fn, self._groups)
+        return np.sum(executor.map_blocks(fn, self._groups), axis=0)

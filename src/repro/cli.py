@@ -256,13 +256,13 @@ def _cmd_multiply(args) -> int:
     vector = np.load(args.vector)
     direction = "left" if args.left else "right"
     method = getattr(matrix, f"{direction}_multiply")
-    if args.workers > 1 and formats.spec_for(matrix).supports_executor:
+    if args.workers > 1:
         from repro.serve.executor import BlockExecutor
 
         with BlockExecutor(args.workers) as executor:
             result = method(vector, executor=executor)
     else:
-        result = method(vector, threads=max(1, args.workers))
+        result = method(vector)
     if args.output:
         np.save(args.output, result)
         print(f"result ({result.size} entries) saved to {args.output}")
@@ -300,13 +300,11 @@ def _cmd_solve(args) -> int:
             params["b"] = np.ones(matrix.shape[0])
 
     executor = None
-    if args.workers > 1 and formats.spec_for(matrix).supports_executor:
+    if args.workers > 1:
         from repro.serve.executor import BlockExecutor
 
         executor = BlockExecutor(args.workers)
         params["executor"] = executor
-    elif args.workers > 1:
-        params["threads"] = args.workers
     try:
         result = solve_api.solve(matrix, algorithm=args.algorithm, **params)
     except ReproError as exc:

@@ -12,8 +12,8 @@ multiplications in parallel:
 
 That is the scatter-gather of :class:`repro.shard.ShardedMatrix`, so
 :class:`BlockedMatrix` is a sharded matrix whose blocks share one ``V``:
-the multiply kernels, the ``threads``/``executor`` fan-out, plan
-retention and the shape checks are inherited.  What is its own is
+the multiply kernels, the ``executor`` fan-out, plan retention and the
+shape checks are inherited.  What is its own is
 construction (grammar, plain ``csrv`` and per-block ``auto`` blocks —
 the uncompressed baseline of Table 2 runs through the same code path),
 size accounting with ``V`` counted once, and the ``blocked``

@@ -21,6 +21,7 @@ Both multiplication directions are single scans of ``S``
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
@@ -56,7 +57,9 @@ class CSRVMatrix(MatrixFormat):
         self._values = np.ascontiguousarray(values, dtype=np.float64)
         self._shape = (int(shape[0]), int(shape[1]))
         self._validate()
-        self._cache: dict[str, np.ndarray] = {}
+        # Working views: "decoded" -> the (row, ℓ, j) triple, "csr" ->
+        # the scipy CSR view.  Each is published with one store.
+        self._cache: dict[str, Any] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -217,17 +220,26 @@ class CSRVMatrix(MatrixFormat):
     # -- decoded views -------------------------------------------------------------
 
     def _decoded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached (row, ℓ, j) arrays for the non-zero entries of ``S``."""
-        if "rows" not in self._cache:
+        """Cached (row, ℓ, j) arrays for the non-zero entries of ``S``.
+
+        The triple is built in locals and stored under one key: one dict
+        store is atomic, so a concurrent caller sees either no decode
+        (and decodes too) or all three arrays, never a partial set.
+        """
+        decoded = self._cache.get("decoded")
+        if decoded is None:
             m = self._shape[1]
             is_sep = self._s == ROW_SEPARATOR
             row_of_pos = np.cumsum(is_sep) - is_sep
             nz = ~is_sep
             pair = self._s[nz] - 1
-            self._cache["rows"] = np.ascontiguousarray(row_of_pos[nz])
-            self._cache["l"] = np.ascontiguousarray(pair // m)
-            self._cache["j"] = np.ascontiguousarray(pair % m)
-        return self._cache["rows"], self._cache["l"], self._cache["j"]
+            decoded = (
+                np.ascontiguousarray(row_of_pos[nz]),
+                np.ascontiguousarray(pair // m),
+                np.ascontiguousarray(pair % m),
+            )
+            self._cache["decoded"] = decoded
+        return decoded
 
     def _scipy_csr(self):
         """Cached scipy CSR view for the panel (multi-vector) kernels.
@@ -267,13 +279,13 @@ class CSRVMatrix(MatrixFormat):
 
     # -- multiplication (Section 2) --------------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
         """``y = M x`` with a single scan of ``S``."""
         rows, l_idx, j_idx = self._decoded()
         contrib = self._values[l_idx] * x[j_idx]
         return np.bincount(rows, weights=contrib, minlength=self._shape[0])
 
-    def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
         """``xᵗ = yᵗ M`` with a single scan of ``S``."""
         rows, l_idx, j_idx = self._decoded()
         contrib = self._values[l_idx] * y[rows]
@@ -299,7 +311,7 @@ class CSRVMatrix(MatrixFormat):
         new_s[self._s != ROW_SEPARATOR] = codes[new_order]
         return CSRVMatrix(new_s, self._values, (n, m))
 
-    def _right_panel_kernel(self, threads: int, executor):
+    def _right_panel_kernel(self, executor):
         """Panel MVM via the cached scipy CSR view (one C-speed SpMM)."""
         csr = self._scipy_csr()
 
@@ -308,7 +320,7 @@ class CSRVMatrix(MatrixFormat):
 
         return kernel
 
-    def _left_panel_kernel(self, threads: int, executor):
+    def _left_panel_kernel(self, executor):
         csr_t = self._scipy_csr().T
 
         def kernel(panel: np.ndarray, out: np.ndarray) -> None:

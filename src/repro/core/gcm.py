@@ -371,15 +371,15 @@ class GrammarCompressedMatrix(MatrixFormat):
                     engine = self._engine = MvmEngine(plan, self._values)
         return engine
 
-    def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
         """``y = M x`` directly on the compressed form."""
         return self._get_engine().right(x)
 
-    def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
         """``xᵗ = yᵗ M`` directly on the compressed form."""
         return self._get_engine().left(y)
 
-    def _right_panel_kernel(self, threads: int, executor):
+    def _right_panel_kernel(self, executor):
         """Batched Theorem 3.4: one pass over the grammar serves all
         ``k`` vectors, amortising the per-variant decode cost across
         the panel (the access pattern ML workloads such as mini-batch
@@ -393,7 +393,7 @@ class GrammarCompressedMatrix(MatrixFormat):
 
         return kernel
 
-    def _left_panel_kernel(self, threads: int, executor):
+    def _left_panel_kernel(self, executor):
         """Batched Theorem 3.10 over one shared engine build."""
         engine = self._get_engine()
 

@@ -2,8 +2,8 @@
 
 One protocol, seven-plus representations.  :class:`MatrixFormat`
 defines the uniform kernel surface (``right_multiply`` /
-``left_multiply`` / panel variants with ``out=`` / ``threads=`` /
-``executor=`` / ``panel_width=``, operator sugar, size accounting);
+``left_multiply`` / panel variants with ``out=`` / ``executor=`` /
+``panel_width=``, operator sugar, size accounting);
 the registry maps format *names* to :class:`FormatSpec` records so
 every other layer dispatches by name:
 
@@ -24,7 +24,6 @@ pick the format up.
 from repro.formats.base import (
     MatrixFormat,
     check_panel,
-    check_threads,
     check_vector,
 )
 from repro.formats.registry import (
@@ -48,5 +47,4 @@ __all__ = [
     "spec_for",
     "check_vector",
     "check_panel",
-    "check_threads",
 ]

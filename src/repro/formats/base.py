@@ -4,19 +4,21 @@ The paper's whole argument is comparative — seven representations, one
 MVM workload — so every representation in this package speaks one
 protocol:
 
-- ``right_multiply(x, threads=, executor=)`` / ``left_multiply(y, ...)``
-  — the single-vector kernels (``y = Mx`` and ``xᵗ = yᵗM``);
-- ``right_multiply_matrix(X, out=, threads=, executor=, panel_width=)``
-  / ``left_multiply_matrix(Y, ...)`` — the batched panel kernels, with
+- ``right_multiply(x, executor=)`` / ``left_multiply(y, ...)`` — the
+  single-vector kernels (``y = Mx`` and ``xᵗ = yᵗM``);
+- ``right_multiply_matrix(X, out=, executor=, panel_width=)`` /
+  ``left_multiply_matrix(Y, ...)`` — the batched panel kernels, with
   in-place ``out=`` writing and bounded-workspace chunking;
 - ``M @ x`` / ``y @ M`` operator sugar and a ``transpose_multiply``
   alias for the left kernel;
 - ``size_bytes()`` / ``size_breakdown()`` accounting and ``to_dense()``.
 
 Formats that have no native panel kernel inherit a correct per-column
-fallback, so *every* registered format answers batched requests; formats
-that cannot parallelise simply ignore ``threads``/``executor``.  The
-hooks subclasses override are the narrow ones:
+fallback, so *every* registered format answers batched requests.
+``executor`` — a persistent :class:`repro.serve.executor.BlockExecutor`
+— is the one way to run a multiply in parallel: formats with parts to
+distribute (row shards and blocks, column groups) map them over it, and
+the rest ignore it.  The hooks subclasses override are the narrow ones:
 
 ``_right_vector`` / ``_left_vector``
     One vector, operand already validated and coerced to float64.
@@ -123,42 +125,30 @@ class MatrixFormat:
 
     # -- single-vector kernels -----------------------------------------------------
 
-    def right_multiply(
-        self, x: Any, threads: int = 1, executor: Any = None
-    ) -> np.ndarray:
+    def right_multiply(self, x: Any, executor: Any = None) -> np.ndarray:
         """Compute ``y = M x``.
 
-        ``threads``/``executor`` are forwarded to representations that
-        parallelise internally (row blocks, column groups) and ignored
-        by the rest, so callers never need per-format signatures.
+        ``executor`` is forwarded to representations that parallelise
+        internally (row blocks, column groups) and ignored by the rest,
+        so callers never need per-format signatures.
         """
         x = check_vector(x, self.shape[1], "x")
-        check_threads(threads)
-        return self._right_vector(x, threads, executor)
+        return self._right_vector(x, executor)
 
-    def left_multiply(
-        self, y: Any, threads: int = 1, executor: Any = None
-    ) -> np.ndarray:
+    def left_multiply(self, y: Any, executor: Any = None) -> np.ndarray:
         """Compute ``xᵗ = yᵗ M`` (same conventions as :meth:`right_multiply`)."""
         y = check_vector(y, self.shape[0], "y")
-        check_threads(threads)
-        return self._left_vector(y, threads, executor)
+        return self._left_vector(y, executor)
 
-    def transpose_multiply(
-        self, y: Any, threads: int = 1, executor: Any = None
-    ) -> np.ndarray:
+    def transpose_multiply(self, y: Any, executor: Any = None) -> np.ndarray:
         """``Mᵗ y`` — an alias for :meth:`left_multiply` (``yᵗM = (Mᵗy)ᵗ``)."""
-        return self.left_multiply(y, threads=threads, executor=executor)
+        return self.left_multiply(y, executor=executor)
 
-    def _right_vector(
-        self, x: np.ndarray, threads: int, executor: Any
-    ) -> np.ndarray:
+    def _right_vector(self, x: np.ndarray, executor: Any) -> np.ndarray:
         """One validated right multiplication (subclass hook)."""
         raise NotImplementedError
 
-    def _left_vector(
-        self, y: np.ndarray, threads: int, executor: Any
-    ) -> np.ndarray:
+    def _left_vector(self, y: np.ndarray, executor: Any) -> np.ndarray:
         """One validated left multiplication (subclass hook)."""
         raise NotImplementedError
 
@@ -168,7 +158,6 @@ class MatrixFormat:
         self,
         x_block: Any,
         out: np.ndarray | None = None,
-        threads: int = 1,
         executor: Any = None,
         panel_width: int | None = None,
     ) -> np.ndarray:
@@ -180,38 +169,34 @@ class MatrixFormat:
         decode it implies) is built once and reused across chunks.
         """
         panel = check_panel(x_block, self.shape[1], "x block")
-        check_threads(threads)
         check_panel_width(panel_width)
         out = _prepare_out(out, (self.shape[0], panel.shape[1]))
-        self._right_panel(panel, out, threads, executor, panel_width)
+        self._right_panel(panel, out, executor, panel_width)
         return out
 
     def left_multiply_matrix(
         self,
         y_block: Any,
         out: np.ndarray | None = None,
-        threads: int = 1,
         executor: Any = None,
         panel_width: int | None = None,
     ) -> np.ndarray:
         """Compute ``Xᵗ = Yᵗ M`` for an ``(n, k)`` block of vectors."""
         panel = check_panel(y_block, self.shape[0], "y block")
-        check_threads(threads)
         check_panel_width(panel_width)
         out = _prepare_out(out, (self.shape[1], panel.shape[1]))
-        self._left_panel(panel, out, threads, executor, panel_width)
+        self._left_panel(panel, out, executor, panel_width)
         return out
 
     def _right_panel(
         self,
         panel: np.ndarray,
         out: np.ndarray,
-        threads: int,
         executor: Any,
         panel_width: int | None,
     ) -> None:
         """Fill ``out`` with ``M @ panel``, one kernel over the chunks."""
-        kernel = self._right_panel_kernel(threads, executor)
+        kernel = self._right_panel_kernel(executor)
         for lo, hi in _panel_chunks(panel.shape[1], panel_width):
             kernel(panel[:, lo:hi], out[:, lo:hi])
 
@@ -219,17 +204,16 @@ class MatrixFormat:
         self,
         panel: np.ndarray,
         out: np.ndarray,
-        threads: int,
         executor: Any,
         panel_width: int | None,
     ) -> None:
         """Fill ``out`` with ``panelᵗ @ M``, one kernel over the chunks."""
-        kernel = self._left_panel_kernel(threads, executor)
+        kernel = self._left_panel_kernel(executor)
         for lo, hi in _panel_chunks(panel.shape[1], panel_width):
             kernel(panel[:, lo:hi], out[:, lo:hi])
 
     def _right_panel_kernel(
-        self, threads: int, executor: Any
+        self, executor: Any
     ) -> Callable[[np.ndarray, np.ndarray], None]:
         """Return ``kernel(panel, out)`` for right panels.
 
@@ -240,22 +224,18 @@ class MatrixFormat:
 
         def kernel(panel: np.ndarray, out: np.ndarray) -> None:
             for j in range(panel.shape[1]):
-                out[:, j] = self._right_vector(
-                    np.ascontiguousarray(panel[:, j]), threads, executor
-                )
+                out[:, j] = self._right_vector(np.ascontiguousarray(panel[:, j]), executor)
 
         return kernel
 
     def _left_panel_kernel(
-        self, threads: int, executor: Any
+        self, executor: Any
     ) -> Callable[[np.ndarray, np.ndarray], None]:
         """Return ``kernel(panel, out)`` for left panels (see above)."""
 
         def kernel(panel: np.ndarray, out: np.ndarray) -> None:
             for j in range(panel.shape[1]):
-                out[:, j] = self._left_vector(
-                    np.ascontiguousarray(panel[:, j]), threads, executor
-                )
+                out[:, j] = self._left_vector(np.ascontiguousarray(panel[:, j]), executor)
 
         return kernel
 
@@ -311,12 +291,6 @@ def check_panel(panel: Any, expected_rows: int, name: str) -> np.ndarray:
             f"{name} has shape {panel.shape}, expected ({expected_rows}, k)"
         )
     return panel
-
-
-def check_threads(threads: int) -> None:
-    """Reject non-positive worker counts with the package's error type."""
-    if threads < 1:
-        raise MatrixFormatError(f"threads must be >= 1, got {threads}")
 
 
 def check_panel_width(panel_width: int | None) -> None:

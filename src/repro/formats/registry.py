@@ -7,8 +7,6 @@ instance instead of hard-coding type checks:
 
 - :func:`repro.formats.compress` builds any format by name;
 - :mod:`repro.io.serialize` maps kind tags ↔ payload codecs;
-- the CLI queries capabilities (``supports_executor``) instead of
-  ``isinstance`` chains;
 - the CLI's ``--strategy`` and the shard planner read ``runs_repair``
   to decide which builders take RePair's options;
 - the CLI and benchmark harness derive their format choices from
@@ -48,11 +46,6 @@ class FormatSpec:
         ``blocked`` spec) have no tag.
     description:
         One line for listings.
-    supports_executor:
-        The kernels accept a :class:`repro.serve.executor.BlockExecutor`
-        and distribute work (row blocks / column groups) over it.
-    supports_threads:
-        ``threads > 1`` changes execution (otherwise it is ignored).
     supports_plan_cache:
         ``enable_plan_retention`` changes execution: the format can keep
         a reusable multiplication plan resident instead of rebuilding
@@ -84,8 +77,6 @@ class FormatSpec:
     build: Callable[..., Any]
     kind: int | None = None
     description: str = ""
-    supports_executor: bool = False
-    supports_threads: bool = False
     supports_plan_cache: bool = False
     runs_repair: bool = False
     supports_mmap: bool = False

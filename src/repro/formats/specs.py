@@ -119,8 +119,6 @@ register(
         build=_blocked_builder("re_32"),
         kind=io.KIND_BLOCKED,
         description="row-block partitioned, per-block compressed (Section 4.1)",
-        supports_executor=True,
-        supports_threads=True,
         supports_plan_cache=True,
         runs_repair=True,
         supports_mmap=True,
@@ -140,8 +138,6 @@ register(
         kind=None,
         description="blocked with per-block smallest-format selection "
         "(Section 4.2)",
-        supports_executor=True,
-        supports_threads=True,
         supports_plan_cache=True,
         runs_repair=True,
     )
@@ -155,8 +151,6 @@ register(
         kind=io.KIND_CLA,
         description="Compressed Linear Algebra column co-coding (Elgohary "
         "et al.)",
-        supports_executor=True,
-        supports_threads=True,
         supports_mmap=True,
         encode=io.cla_payload,
         decode=io.read_cla,
@@ -172,8 +166,6 @@ register(
         kind=io.KIND_SHARDED,
         description="row-sharded container, per-shard format by density "
         "profile, scatter-gather MVM",
-        supports_executor=True,
-        supports_threads=True,
         supports_plan_cache=True,
         runs_repair=True,
         supports_mmap=True,

@@ -15,8 +15,7 @@ has one, a correct per-column fallback otherwise) — so a batch is one
 call to the matrix's own panel kernel, with no dispatch here: formats
 with parts to distribute (row shards and blocks, column groups) fan
 their work out over the caller's persistent
-:class:`~repro.serve.executor.BlockExecutor` or ``threads`` workers,
-and the rest ignore both.
+:class:`~repro.serve.executor.BlockExecutor`, and the rest ignore it.
 
 ``panel_width`` bounds the batched workspace: the grammar kernel's
 stacked vector ``[x; W]`` is ``(m + |R|, k)`` doubles, so very wide
@@ -64,45 +63,39 @@ def _batched(
     vectors,
     direction: str,
     executor=None,
-    threads: int = 1,
     panel_width: int | None = None,
 ) -> np.ndarray:
     operand_len = matrix.shape[1] if direction == "right" else matrix.shape[0]
     panel = as_panel(vectors, operand_len, "x" if direction == "right" else "y")
     # The matrix's own panel kernel chunks over one kernel build (for
     # re_iv/re_ans that is one storage decode per request, not one per
-    # chunk) and hands ``executor``/``threads`` to its per-part fan-out.
+    # chunk) and hands ``executor`` to its per-part fan-out.
     method = getattr(matrix, f"{direction}_multiply_matrix")
-    return method(
-        panel, threads=threads, executor=executor, panel_width=panel_width
-    )
+    return method(panel, executor=executor, panel_width=panel_width)
 
 
 def batch_right_multiply(
     matrix,
     vectors,
     executor=None,
-    threads: int = 1,
     panel_width: int | None = None,
 ) -> np.ndarray:
     """``Y = M X`` for a batch of vectors, one panel kernel call.
 
     ``vectors`` is anything :func:`as_panel` accepts; the result has
     shape ``(n_rows, k)``.  ``executor`` (a
-    :class:`~repro.serve.executor.BlockExecutor`) or ``threads`` are
-    forwarded to the matrix's panel kernel, which distributes its row
-    shards, blocks or column groups over them; ``panel_width`` caps the
-    per-call workspace.
+    :class:`~repro.serve.executor.BlockExecutor`) is forwarded to the
+    matrix's panel kernel, which distributes its row shards, blocks or
+    column groups over it; ``panel_width`` caps the per-call workspace.
     """
-    return _batched(matrix, vectors, "right", executor, threads, panel_width)
+    return _batched(matrix, vectors, "right", executor, panel_width)
 
 
 def batch_left_multiply(
     matrix,
     vectors,
     executor=None,
-    threads: int = 1,
     panel_width: int | None = None,
 ) -> np.ndarray:
     """``Xᵗ = Yᵗ M`` for a batch of vectors; result ``(n_cols, k)``."""
-    return _batched(matrix, vectors, "left", executor, threads, panel_width)
+    return _batched(matrix, vectors, "left", executor, panel_width)

@@ -13,10 +13,14 @@ groups of a :class:`repro.cla.CLAMatrix`.
 
 Pool startup is paid at server start, not per multiply.  Workers share
 output buffers (panel results are written into disjoint row slices of
-one preallocated array), but the numpy kernels hold the GIL for part of
-their runtime, so the speedup is bounded by how much of the work
-releases it.  ``workers=1`` runs inline (no pool at all) — the timed
-sequential mode that the LPT simulation consumes.
+one preallocated array).  Each grammar level runs in scipy's compiled
+sparse routines, which release the GIL, so parts run truly in
+parallel; the Python glue between calls still holds it, which bounds
+the speedup on small parts.  ``workers=1`` runs inline (no pool at
+all) — the timed sequential mode that the LPT simulation consumes.
+Otherwise the pool starts on the first :meth:`BlockExecutor.map_blocks`
+call given more than one part, so handing an executor to a format with
+nothing to distribute costs nothing.
 """
 
 from __future__ import annotations

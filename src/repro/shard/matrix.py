@@ -30,9 +30,8 @@ Multiplication is scatter-gather over the row partition: right
 multiplication fans the operand out to every shard and concatenates
 the per-shard results; left multiplication slices the operand by shard
 row range and sums the per-shard row vectors.  ``executor`` (a
-persistent :class:`repro.serve.executor.BlockExecutor`) or
-``threads > 1`` (a pool for the one call) run the per-shard work
-concurrently.
+persistent :class:`repro.serve.executor.BlockExecutor`) runs the
+per-shard work concurrently.
 """
 
 from __future__ import annotations
@@ -121,14 +120,13 @@ class _ShardFanout(MatrixFormat):
 
     # -- scatter-gather kernels -----------------------------------------------------
 
-    def _map_shards(self, fn, threads: int, executor) -> list:
+    def _map_shards(self, fn, executor) -> list:
         """``fn(shard, i)`` over every shard, results in row order.
 
-        The parallel paths — the caller's ``executor``, or a pool of
-        ``threads`` workers for this one call — need every shard in
-        memory at once.  The sequential path is a circular scan: it
-        visits shards one at a time from :meth:`_scan_start`, wrapping
-        around, brackets each visit with :meth:`_pin_shard` and
+        The parallel path — the caller's ``executor`` — needs every
+        shard in memory at once.  The sequential path is a circular
+        scan: it visits shards one at a time from :meth:`_scan_start`,
+        wrapping around, brackets each visit with :meth:`_pin_shard` and
         :meth:`_after_shard` (the latter also when the visit fails),
         and places each result at its shard index, so callers combine
         the results in row order whatever the start.  The eager form
@@ -142,11 +140,6 @@ class _ShardFanout(MatrixFormat):
         """
         if executor is not None:
             return executor.map_blocks(fn, self._all_shards())
-        if threads > 1 and self.n_shards > 1:
-            from repro.serve.executor import BlockExecutor
-
-            with BlockExecutor(threads) as pool:
-                return pool.map_blocks(fn, self._all_shards())
         n = self.n_shards
         results: list = [None] * n
         start = self._scan_start()
@@ -169,18 +162,15 @@ class _ShardFanout(MatrixFormat):
     def _after_shard(self, i: int) -> None:
         """Hook after a sequential shard visit (base: no-op)."""
 
-    def _right_vector(self, x: np.ndarray, threads: int, executor) -> np.ndarray:
-        parts = self._map_shards(
-            lambda s, _i: s.right_multiply(x), threads, executor
-        )
+    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
+        parts = self._map_shards(lambda s, _i: s.right_multiply(x), executor)
         return np.concatenate(parts)
 
-    def _left_vector(self, y: np.ndarray, threads: int, executor) -> np.ndarray:
+    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
         parts = self._map_shards(
             lambda s, i: s.left_multiply(
                 y[self._offsets[i] : self._offsets[i + 1]]
             ),
-            threads,
             executor,
         )
         out = np.zeros(self._shape[1], dtype=np.float64)
@@ -188,9 +178,7 @@ class _ShardFanout(MatrixFormat):
             out += p
         return out
 
-    def _right_panel(
-        self, panel, out, threads: int, executor, panel_width
-    ) -> None:
+    def _right_panel(self, panel, out, executor, panel_width) -> None:
         # One pass per call: each shard gets the whole panel and chunks
         # it by ``panel_width`` itself, so its decode runs once.
         self._map_shards(
@@ -199,13 +187,10 @@ class _ShardFanout(MatrixFormat):
                 out=out[self._offsets[i] : self._offsets[i + 1]],
                 panel_width=panel_width,
             ),
-            threads,
             executor,
         )
 
-    def _left_panel(
-        self, panel, out, threads: int, executor, panel_width
-    ) -> None:
+    def _left_panel(self, panel, out, executor, panel_width) -> None:
         # The parts are summed in shard order once the pass ends, so the
         # result is bit-identical whatever shard the scan started at;
         # the call holds one ``(n_cols, k)`` part per shard until then.
@@ -214,7 +199,6 @@ class _ShardFanout(MatrixFormat):
                 panel[self._offsets[i] : self._offsets[i + 1]],
                 panel_width=panel_width,
             ),
-            threads,
             executor,
         )
         out[:] = 0.0
@@ -369,8 +353,8 @@ class LazyShardedMatrix(_ShardFanout):
     ``shard_byte_budget`` is set, the loaded set is trimmed to the
     budget by evicting least-recently-used shards — *between* shard
     visits on the sequential path, and after the request on the
-    ``threads``/``executor`` paths (which need all shards live at
-    once; parallelism deliberately trades the in-request bound for
+    ``executor`` path (which needs all shards live at once;
+    parallelism deliberately trades the in-request bound for
     speed).  The whole matrix stays registered and servable while only
     a sliding window of shards is resident.
 
@@ -791,15 +775,15 @@ class LazyShardedMatrix(_ShardFanout):
 
     # -- budget hooks on the public kernel surface ------------------------------------
 
-    def right_multiply(self, x, threads: int = 1, executor=None) -> np.ndarray:
+    def right_multiply(self, x, executor=None) -> np.ndarray:
         try:
-            return super().right_multiply(x, threads=threads, executor=executor)
+            return super().right_multiply(x, executor=executor)
         finally:
             self.enforce_shard_budget()
 
-    def left_multiply(self, y, threads: int = 1, executor=None) -> np.ndarray:
+    def left_multiply(self, y, executor=None) -> np.ndarray:
         try:
-            return super().left_multiply(y, threads=threads, executor=executor)
+            return super().left_multiply(y, executor=executor)
         finally:
             self.enforce_shard_budget()
 

@@ -39,12 +39,10 @@ from repro.solve.driver import SolveResult, iterate
 from repro.solve.kernels import SolveKernels
 
 
-def _as_kernels(matrix, threads, executor, retain_plans) -> SolveKernels:
+def _as_kernels(matrix, executor, retain_plans) -> SolveKernels:
     if isinstance(matrix, SolveKernels):
         return matrix
-    return SolveKernels(
-        matrix, threads=threads, executor=executor, retain_plans=retain_plans
-    )
+    return SolveKernels(matrix, executor=executor, retain_plans=retain_plans)
 
 
 def _check_vector(vec, expected: int, name: str) -> np.ndarray:
@@ -62,7 +60,6 @@ def power_iteration(
     iterations: int = 200,
     tol: float | None = 1e-10,
     x0: np.ndarray | None = None,
-    threads: int = 1,
     executor=None,
     retain_plans: bool = True,
     callback=None,
@@ -86,7 +83,7 @@ def power_iteration(
     ``extras``: ``eigenvalue`` (``‖z‖∞`` at the last iteration) and
     ``singular_value`` (its square root).
     """
-    kernels = _as_kernels(matrix, threads, executor, retain_plans)
+    kernels = _as_kernels(matrix, executor, retain_plans)
     m = kernels.n_cols
     state = {
         "x": (
@@ -133,7 +130,6 @@ def pagerank(
     personalization: np.ndarray | None = None,
     iterations: int = 100,
     tol: float | None = 1e-10,
-    threads: int = 1,
     executor=None,
     retain_plans: bool = True,
     callback=None,
@@ -154,7 +150,7 @@ def pagerank(
 
     ``extras``: ``damping``, ``n_dangling``.
     """
-    kernels = _as_kernels(matrix, threads, executor, retain_plans)
+    kernels = _as_kernels(matrix, executor, retain_plans)
     n, m = kernels.shape
     if n != m:
         raise SolveError(f"pagerank needs a square matrix, got shape {n}x{m}")
@@ -222,7 +218,6 @@ def conjugate_gradient(
     iterations: int = 200,
     tol: float | None = 1e-10,
     x0: np.ndarray | None = None,
-    threads: int = 1,
     executor=None,
     retain_plans: bool = True,
     callback=None,
@@ -243,7 +238,7 @@ def conjugate_gradient(
 
     ``extras``: ``ridge``, ``rhs_norm`` (``‖Aᵗb‖₂``).
     """
-    kernels = _as_kernels(matrix, threads, executor, retain_plans)
+    kernels = _as_kernels(matrix, executor, retain_plans)
     n, m = kernels.shape
     if ridge < 0:
         raise SolveError(f"ridge must be >= 0, got {ridge}")
@@ -349,7 +344,6 @@ def topk_subspace(
     iterations: int = 60,
     tol: float | None = 1e-9,
     seed: int = 0,
-    threads: int = 1,
     executor=None,
     retain_plans: bool = True,
     callback=None,
@@ -368,7 +362,7 @@ def topk_subspace(
     ``extras["singular_values"]`` the corresponding estimates
     ``σᵢ = √θᵢ`` of ``A``'s top singular values.
     """
-    kernels = _as_kernels(matrix, threads, executor, retain_plans)
+    kernels = _as_kernels(matrix, executor, retain_plans)
     n, m = kernels.shape
     if not 1 <= k <= min(n, m):
         raise SolveError(

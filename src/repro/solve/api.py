@@ -62,7 +62,7 @@ def solve(matrix, algorithm: str = "power", **params) -> SolveResult:
     numpy array is wrapped as the ``dense`` format, so dense-reference
     runs use the same code path.  ``params`` are the algorithm's own
     keyword arguments (``iterations``, ``tol``, ``damping``, ``b``,
-    ``ridge``, ``k``, ``threads``, ``executor``, ...).
+    ``ridge``, ``k``, ``executor``, ...).
     """
     fn = get_algorithm(algorithm)
     if isinstance(matrix, np.ndarray):

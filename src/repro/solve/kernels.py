@@ -10,9 +10,9 @@ algorithm.
 
 :class:`SolveKernels` wraps one matrix for the lifetime of a solve:
 
-- ``threads=`` / ``executor=`` are captured once and forwarded to every
-  kernel call (formats without block/group parallelism ignore them, so
-  callers never branch per format);
+- ``executor=`` is captured once and forwarded to every kernel call
+  (formats without block/group parallelism ignore it, so callers never
+  branch per format);
 - plan retention is enabled **once up front** — grammar formats build
   their :class:`~repro.core.multiply.MvmPlan` on the first iteration and
   reuse it for the hundreds that follow, which is what makes iterating
@@ -27,22 +27,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SolveError
 
 #: Panel width the panel kernels chunk to, bounding the grammar
 #: engine's ``(|R|, k)`` workspace (same default as the serving layer).
 DEFAULT_PANEL_WIDTH = 64
 
 
-def _call_kernel(method, operand, threads: int, executor):
+def _call_kernel(method, operand, executor):
     """One protocol kernel call, with a duck-typing fallback.
 
     Objects outside this package that expose plain ``right_multiply(x)``
-    (no ``threads``/``executor``) remain solvable, mirroring the bench
-    harness's fallback.
+    (no ``executor``) remain solvable.
     """
     try:
-        return method(operand, threads=threads, executor=executor)
+        return method(operand, executor=executor)
     except TypeError:
         return method(operand)
 
@@ -55,9 +53,9 @@ class SolveKernels:
     matrix:
         Any :class:`repro.formats.MatrixFormat` (or duck-typed object
         with ``shape``/``right_multiply``/``left_multiply``).
-    threads, executor:
-        Captured once; forwarded to every kernel call.  ``executor`` is
-        a :class:`repro.serve.executor.BlockExecutor` shared across the
+    executor:
+        Captured once; forwarded to every kernel call.  A
+        :class:`repro.serve.executor.BlockExecutor` shared across the
         whole solve (the serving configuration — pool startup paid
         once, reused every iteration).
     retain_plans:
@@ -71,15 +69,11 @@ class SolveKernels:
     def __init__(
         self,
         matrix,
-        threads: int = 1,
         executor=None,
         retain_plans: bool = True,
         panel_width: int | None = DEFAULT_PANEL_WIDTH,
     ):
-        if threads < 1:
-            raise SolveError(f"threads must be >= 1, got {threads}")
         self.matrix = matrix
-        self.threads = int(threads)
         self.executor = executor
         self.panel_width = panel_width
         n, m = matrix.shape
@@ -101,15 +95,11 @@ class SolveKernels:
 
     def right(self, x: np.ndarray) -> np.ndarray:
         """``A x`` — vector of length ``n_rows``."""
-        return _call_kernel(
-            self.matrix.right_multiply, x, self.threads, self.executor
-        )
+        return _call_kernel(self.matrix.right_multiply, x, self.executor)
 
     def left(self, y: np.ndarray) -> np.ndarray:
         """``yᵗ A`` (equivalently ``Aᵗ y``) — vector of length ``n_cols``."""
-        return _call_kernel(
-            self.matrix.left_multiply, y, self.threads, self.executor
-        )
+        return _call_kernel(self.matrix.left_multiply, y, self.executor)
 
     def gram(self, x: np.ndarray, normalize: bool = False) -> np.ndarray:
         """The Gram product ``Aᵗ A x`` (two protocol kernels, no ``AᵗA``).
@@ -155,7 +145,6 @@ class SolveKernels:
         return self.matrix.right_multiply_matrix(
             panel,
             out=out,
-            threads=self.threads,
             executor=self.executor,
             panel_width=self.panel_width,
         )
@@ -168,7 +157,6 @@ class SolveKernels:
         return self.matrix.left_multiply_matrix(
             panel,
             out=out,
-            threads=self.threads,
             executor=self.executor,
             panel_width=self.panel_width,
         )

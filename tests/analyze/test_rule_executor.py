@@ -1,4 +1,4 @@
-"""RA06 — multiply entry points accept and forward threads=/executor=."""
+"""RA06 — multiply entry points accept and forward executor=."""
 
 from repro.analyze.rules_ast import check_executor_plumbing
 
@@ -19,12 +19,12 @@ class Fmt(MatrixFormat):
         f = findings[0]
         assert f.rule == "RA06"
         assert f.scope == "Fmt.right_multiply"
-        assert "threads" in f.detail and "executor" in f.detail
+        assert f.detail == "executor"
 
     def test_accepted_but_dropped_flagged(self):
         text = """
 class Fmt(MatrixFormat):
-    def right_multiply(self, x, threads=1, executor=None):
+    def right_multiply(self, x, executor=None):
         return compute(x)
 """
         findings = check_executor_plumbing(make_source(text))
@@ -34,8 +34,8 @@ class Fmt(MatrixFormat):
     def test_forwarded_params_clean(self):
         text = """
 class Fmt(MatrixFormat):
-    def right_multiply(self, x, threads=1, executor=None):
-        return compute(x, threads=threads, executor=executor)
+    def right_multiply(self, x, executor=None):
+        return compute(x, executor=executor)
 """
         assert check_executor_plumbing(make_source(text)) == []
 
@@ -87,10 +87,8 @@ def batch_right_multiply(matrix, vectors):
 
     def test_module_helper_with_plumbing_clean(self):
         text = """
-def batch_right_multiply(matrix, vectors, executor=None, threads=1):
-    return matrix.right_multiply_matrix(
-        vectors, threads=threads, executor=executor
-    )
+def batch_right_multiply(matrix, vectors, executor=None):
+    return matrix.right_multiply_matrix(vectors, executor=executor)
 """
         assert check_executor_plumbing(make_source(text)) == []
 

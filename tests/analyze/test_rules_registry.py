@@ -1,8 +1,9 @@
 """RA01/RA02 — capability flags and kind tags, on synthetic and live specs.
 
-The capability probes ground truth in the class object itself
-(MRO for overrides, source text for parameter use), so the fixture
-classes here are real module-level classes ``inspect`` can read.
+The capability probe grounds truth in the class object itself (MRO
+for overrides), and findings point at the class's source, so the
+fixture classes here are real module-level classes ``inspect`` can
+read.
 """
 
 import inspect
@@ -37,16 +38,16 @@ class CachingFormat(MatrixFormat):
 
 
 class ThreadedFormat(MatrixFormat):
-    """Reads ``threads``/``executor`` in its own kernels."""
+    """Reads ``executor`` in its own kernels."""
 
     @property
     def shape(self):
         return (1, 1)
 
-    def _right_vector(self, x, threads, executor):
+    def _right_vector(self, x, executor):
         if executor is not None:
             return executor.right_multiply(self, x)
-        return x * threads
+        return x
 
 
 def _spec(name, cls, **flags):
@@ -70,10 +71,7 @@ class TestCapabilities:
         specs = {
             "plain": _spec("plain", PlainFormat),
             "caching": _spec("caching", CachingFormat, supports_plan_cache=True),
-            "threaded": _spec(
-                "threaded", ThreadedFormat,
-                supports_threads=True, supports_executor=True,
-            ),
+            "threaded": _spec("threaded", ThreadedFormat),
         }
         assert check_capabilities(specs) == []
 
@@ -92,25 +90,6 @@ class TestCapabilities:
         findings = check_capabilities(specs)
         assert [f.detail for f in findings] == ["supports_plan_cache"]
         assert "under-claim" in findings[0].message
-
-    def test_executor_and_threads_over_claims(self):
-        specs = {
-            "plain": _spec(
-                "plain", PlainFormat,
-                supports_executor=True, supports_threads=True,
-            )
-        }
-        details = sorted(f.detail for f in check_capabilities(specs))
-        assert details == ["supports_executor", "supports_threads"]
-
-    def test_threads_grounded_in_source(self):
-        specs = {
-            "threaded": _spec(
-                "threaded", ThreadedFormat,
-                supports_threads=True, supports_executor=True,
-            )
-        }
-        assert check_capabilities(specs) == []
 
 
 class TestKindTags:
@@ -175,6 +154,6 @@ class TestLiveRegistry:
 
 
 def test_fixture_classes_are_introspectable():
-    # The probes rely on inspect.getsource working for these classes.
+    # Finding locations rely on inspect reading these classes.
     for cls in (PlainFormat, CachingFormat, ThreadedFormat):
         assert "class" in inspect.getsource(cls)

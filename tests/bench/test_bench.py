@@ -119,6 +119,8 @@ class TestHarness:
             run_iterations(dm, iterations=0)
         with pytest.raises(MatrixFormatError):
             run_iterations(dm, iterations=1, x0=np.ones(3))
+        with pytest.raises(MatrixFormatError):
+            run_iterations(dm, iterations=1, threads=0)
 
     def test_all_zero_matrix_stable(self):
         dm = DenseMatrix(np.zeros((4, 3)))

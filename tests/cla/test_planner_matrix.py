@@ -6,6 +6,7 @@ import pytest
 from repro.cla.matrix import CLAMatrix
 from repro.cla.planner import plan_column_groups
 from repro.errors import MatrixFormatError, PlanningError
+from repro.serve.executor import BlockExecutor
 from tests.conftest import make_structured
 
 
@@ -72,8 +73,9 @@ class TestCLAMatrix:
         cla = CLAMatrix.compress(matrix)
         x = rng.standard_normal(12)
         y = rng.standard_normal(200)
-        assert np.allclose(cla.right_multiply(x, threads=threads), matrix @ x)
-        assert np.allclose(cla.left_multiply(y, threads=threads), y @ matrix)
+        with BlockExecutor(threads) as ex:
+            assert np.allclose(cla.right_multiply(x, executor=ex), matrix @ x)
+            assert np.allclose(cla.left_multiply(y, executor=ex), y @ matrix)
 
     def test_compresses_structured_input(self, rng):
         matrix = make_structured(rng, n=2000, m=10, pool=3)

@@ -7,6 +7,7 @@ from repro.core.blocked import BLOCK_FORMATS, BlockedMatrix
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import GrammarCompressedMatrix
 from repro.errors import MatrixFormatError
+from repro.serve.executor import BlockExecutor
 
 
 @pytest.fixture(params=list(BLOCK_FORMATS))
@@ -63,40 +64,37 @@ class TestMultiplication:
     def test_right_any_thread_count(self, structured_matrix, threads, rng):
         bm = BlockedMatrix.compress(structured_matrix, variant="re_32", n_blocks=4)
         x = rng.standard_normal(structured_matrix.shape[1])
-        assert np.allclose(
-            bm.right_multiply(x, threads=threads), structured_matrix @ x
-        )
+        with BlockExecutor(threads) as ex:
+            assert np.allclose(
+                bm.right_multiply(x, executor=ex), structured_matrix @ x
+            )
 
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_left_any_thread_count(self, structured_matrix, threads, rng):
         bm = BlockedMatrix.compress(structured_matrix, variant="re_32", n_blocks=4)
         y = rng.standard_normal(structured_matrix.shape[0])
-        assert np.allclose(
-            bm.left_multiply(y, threads=threads), y @ structured_matrix
-        )
+        with BlockExecutor(threads) as ex:
+            assert np.allclose(
+                bm.left_multiply(y, executor=ex), y @ structured_matrix
+            )
 
     def test_all_formats_agree(self, structured_matrix, rng):
         x = rng.standard_normal(structured_matrix.shape[1])
-        results = [
-            BlockedMatrix.compress(
-                structured_matrix, variant=v, n_blocks=3
-            ).right_multiply(x, threads=2)
-            for v in BLOCK_FORMATS
-        ]
+        with BlockExecutor(2) as ex:
+            results = [
+                BlockedMatrix.compress(
+                    structured_matrix, variant=v, n_blocks=3
+                ).right_multiply(x, executor=ex)
+                for v in BLOCK_FORMATS
+            ]
         for r in results[1:]:
             assert np.allclose(r, results[0])
 
     def test_threaded_equals_sequential(self, structured_matrix, rng):
         bm = BlockedMatrix.compress(structured_matrix, variant="re_ans", n_blocks=4)
         y = rng.standard_normal(structured_matrix.shape[0])
-        assert np.allclose(
-            bm.left_multiply(y, threads=4), bm.left_multiply(y, threads=1)
-        )
-
-    def test_invalid_threads(self, paper_matrix):
-        bm = BlockedMatrix.compress(paper_matrix, n_blocks=2)
-        with pytest.raises(MatrixFormatError):
-            bm.right_multiply(np.ones(5), threads=0)
+        with BlockExecutor(4) as ex:
+            assert np.allclose(bm.left_multiply(y, executor=ex), bm.left_multiply(y))
 
     def test_wrong_vector_length(self, paper_matrix):
         bm = BlockedMatrix.compress(paper_matrix, n_blocks=2)

@@ -1,5 +1,7 @@
 """Tests for the CSRV representation (Section 2)."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,48 @@ class TestMultiplication:
         csrv = CSRVMatrix.from_dense(paper_matrix)
         out = csrv.right_multiply(np.ones(5, dtype=int))
         assert out.dtype == np.float64
+
+
+class _PausingCache(dict):
+    """A decode cache whose first store blocks until ``resume`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = threading.Event()
+        self.resume = threading.Event()
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if not self.stored.is_set():
+            self.stored.set()
+            self.resume.wait(timeout=10)
+
+
+class TestConcurrentDecode:
+    def test_first_decode_is_published_whole(self, structured_matrix, rng):
+        # Two passes decoding one fresh shard at once: the second must
+        # never see a partly stored decode, whatever point the first
+        # has reached.
+        csrv = CSRVMatrix.from_dense(structured_matrix)
+        cache = _PausingCache()
+        csrv._cache = cache
+        x = rng.standard_normal(structured_matrix.shape[1])
+        results = {}
+
+        def first():
+            results["first"] = csrv.right_multiply(x)
+
+        writer = threading.Thread(target=first)
+        writer.start()
+        assert cache.stored.wait(timeout=10)
+        try:
+            results["second"] = csrv.right_multiply(x)
+        finally:
+            cache.resume.set()
+            writer.join(timeout=10)
+        assert sorted(results) == ["first", "second"]
+        for y in results.values():
+            assert np.allclose(y, structured_matrix @ x)
 
 
 class TestSplitRows:

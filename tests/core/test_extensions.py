@@ -9,6 +9,7 @@ from repro.core.blocked import BlockedMatrix
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import GrammarCompressedMatrix
 from repro.errors import MatrixFormatError
+from repro.serve.executor import BlockExecutor
 from tests.conftest import make_structured
 
 
@@ -49,10 +50,11 @@ class TestMultiVector:
     def test_blocked_right_multiply_matrix(self, structured_matrix, rng):
         bm = BlockedMatrix.compress(structured_matrix, variant="re_iv", n_blocks=3)
         x_block = rng.standard_normal((structured_matrix.shape[1], 4))
-        assert np.allclose(
-            bm.right_multiply_matrix(x_block, threads=2),
-            structured_matrix @ x_block,
-        )
+        with BlockExecutor(2) as ex:
+            assert np.allclose(
+                bm.right_multiply_matrix(x_block, executor=ex),
+                structured_matrix @ x_block,
+            )
 
     def test_wrong_shape_rejected(self, structured_matrix):
         gm = GrammarCompressedMatrix.compress(structured_matrix)
@@ -85,10 +87,11 @@ class TestMultiVector:
     def test_blocked_left_multiply_matrix(self, structured_matrix, rng):
         bm = BlockedMatrix.compress(structured_matrix, variant="re_ans", n_blocks=3)
         y_block = rng.standard_normal((structured_matrix.shape[0], 3))
-        assert np.allclose(
-            bm.left_multiply_matrix(y_block, threads=2),
-            structured_matrix.T @ y_block,
-        )
+        with BlockExecutor(2) as ex:
+            assert np.allclose(
+                bm.left_multiply_matrix(y_block, executor=ex),
+                structured_matrix.T @ y_block,
+            )
 
     def test_zero_rule_grammar(self, rng):
         matrix = rng.standard_normal((5, 4))  # unique values, no rules
@@ -115,8 +118,9 @@ class TestAutoBlocks:
         auto = BlockedMatrix.compress(matrix, variant="auto", n_blocks=4)
         x = rng.standard_normal(8)
         y = rng.standard_normal(100)
-        assert np.allclose(auto.right_multiply(x, threads=2), matrix @ x)
-        assert np.allclose(auto.left_multiply(y, threads=2), y @ matrix)
+        with BlockExecutor(2) as ex:
+            assert np.allclose(auto.right_multiply(x, executor=ex), matrix @ x)
+            assert np.allclose(auto.left_multiply(y, executor=ex), y @ matrix)
 
     def test_incompressible_block_stays_rule_free(self, rng):
         # Near-unique floats: no rules to find.  Bit packing still wins

@@ -42,12 +42,6 @@ class TestRegistry:
             assert spec.name == name
             assert spec.description
 
-    def test_capabilities(self):
-        assert formats.get("blocked").supports_executor
-        assert formats.get("cla").supports_executor
-        assert not formats.get("dense").supports_executor
-        assert not formats.get("re_ans").supports_executor
-
 
 class TestCompressFactory:
     def test_variant_names_build_gcm(self, structured_matrix):

@@ -20,6 +20,7 @@ from repro import (
 from repro.baselines import DenseMatrix, GzipMatrix, XzMatrix
 from repro.bench.memory import peak_mvm_pct
 from repro.io.serialize import loads_matrix, saves_matrix
+from repro.serve.executor import BlockExecutor
 
 SMALL = {"n_rows": 400}
 DATASETS = ["susy", "airline78", "census", "covtype"]
@@ -126,7 +127,8 @@ def test_serialize_whole_pipeline():
     blob = saves_matrix(result.matrix)
     back = loads_matrix(blob)
     x = np.ones(matrix.shape[1])
-    assert np.allclose(back.right_multiply(x, threads=2), matrix @ x)
+    with BlockExecutor(2) as ex:
+        assert np.allclose(back.right_multiply(x, executor=ex), matrix @ x)
 
 
 def test_gzip_xz_storage_only_contrast():

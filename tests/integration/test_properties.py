@@ -12,6 +12,7 @@ from repro import (
     GrammarCompressedMatrix,
 )
 from repro.io.serialize import loads_matrix, saves_matrix
+from repro.serve.executor import BlockExecutor
 
 
 @st.composite
@@ -51,8 +52,9 @@ def test_blocked_equals_unblocked(matrix, n_blocks, threads):
     bm = BlockedMatrix.compress(matrix, variant="re_32", n_blocks=n_blocks)
     x = np.ones(matrix.shape[1])
     y = np.ones(matrix.shape[0])
-    assert np.allclose(bm.right_multiply(x, threads=threads), matrix @ x)
-    assert np.allclose(bm.left_multiply(y, threads=threads), y @ matrix)
+    with BlockExecutor(threads) as ex:
+        assert np.allclose(bm.right_multiply(x, executor=ex), matrix @ x)
+        assert np.allclose(bm.left_multiply(y, executor=ex), y @ matrix)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,6 +11,7 @@ from repro.reorder.pipeline import (
     compress_with_reordering,
     reorder_columns,
 )
+from repro.serve.executor import BlockExecutor
 
 
 def _scattered_matrix(rng, n=300, n_groups=4, copies=4):
@@ -87,8 +88,9 @@ class TestCompressWithReordering:
         result = compress_with_reordering(matrix, variant="re_iv", n_blocks=4)
         x = rng.standard_normal(matrix.shape[1])
         y = rng.standard_normal(matrix.shape[0])
-        assert np.allclose(result.matrix.right_multiply(x, threads=2), matrix @ x)
-        assert np.allclose(result.matrix.left_multiply(y, threads=2), y @ matrix)
+        with BlockExecutor(2) as ex:
+            assert np.allclose(result.matrix.right_multiply(x, executor=ex), matrix @ x)
+            assert np.allclose(result.matrix.left_multiply(y, executor=ex), y @ matrix)
 
     def test_per_block_orders_returned(self, rng):
         matrix = _scattered_matrix(rng)
@@ -130,7 +132,8 @@ class TestCompressWithReordering:
             result.sizes_by_method.values()
         )
         x = rng.standard_normal(matrix.shape[1])
-        assert np.allclose(result.matrix.right_multiply(x, threads=2), matrix @ x)
+        with BlockExecutor(2) as ex:
+            assert np.allclose(result.matrix.right_multiply(x, executor=ex), matrix @ x)
 
     def test_intra_only_skips_similarity(self, rng):
         # With only intra-row candidates no CSM should be needed; this

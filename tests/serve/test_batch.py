@@ -94,13 +94,6 @@ class TestPanelOptions:
                 gm, np.ones((structured_matrix.shape[1], 2)), panel_width=0
             )
 
-    def test_threads_forwarded(self, structured_matrix, rng):
-        bm = BlockedMatrix.compress(structured_matrix, variant="re_iv", n_blocks=3)
-        x = rng.standard_normal((structured_matrix.shape[1], 6))
-        assert np.allclose(
-            batch_right_multiply(bm, x, threads=2), structured_matrix @ x
-        )
-
     def test_executor_forwarded(self, structured_matrix, rng):
         from repro.serve.executor import BlockExecutor
 

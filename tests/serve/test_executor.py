@@ -7,6 +7,7 @@ import pytest
 
 from repro.bench.harness import run_iterations
 from repro.bench.parallel import lpt_makespan
+from repro.cla.matrix import CLAMatrix
 from repro.core.blocked import BlockedMatrix
 from repro.errors import MatrixFormatError
 from repro.serve.executor import BlockExecutor
@@ -132,14 +133,31 @@ class TestLptPlanningModel:
 
 
 class TestHarnessExecutorModel:
-    def test_executor_model_runs_and_matches(self, structured_matrix):
+    def test_executor_model_runs_and_matches(self, structured_matrix, monkeypatch):
+        # The harness's one persistent pool reaches every format: row
+        # blocks and CLA's column groups alike.
+        pools = []
+        map_blocks = BlockExecutor.map_blocks
+
+        def spy(self, fn, blocks):
+            pools.append(self)
+            return map_blocks(self, fn, blocks)
+
+        monkeypatch.setattr(BlockExecutor, "map_blocks", spy)
+        cla = CLAMatrix.compress(structured_matrix)
+        assert len(cla.groups) > 1
         bm = BlockedMatrix.compress(structured_matrix, variant="re_32", n_blocks=4)
-        result = run_iterations(
-            bm, iterations=2, threads=2, parallel_model="executor",
-            reference=structured_matrix,
-        )
-        assert result.max_error < 1e-8
-        assert result.seconds_per_iter > 0
+        for matrix in (bm, cla):
+            pools.clear()
+            result = run_iterations(
+                matrix, iterations=2, threads=2, parallel_model="executor",
+                reference=structured_matrix,
+            )
+            name = type(matrix).__name__
+            assert pools, f"{name} never reached the executor"
+            assert all(pool is pools[0] for pool in pools), name
+            assert result.max_error < 1e-8, name
+            assert result.seconds_per_iter > 0
 
     def test_executor_model_on_unblocked_falls_back(self, structured_matrix):
         from repro.baselines import DenseMatrix

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.io.serialize import read_shard_manifest, save_matrix
+from repro.serve.executor import BlockExecutor
 from repro.serve.registry import MatrixRegistry
 from repro.shard import LazyShardedMatrix, build_sharded
 from tests.shard.test_plan import mixed_matrix
@@ -213,9 +214,10 @@ class TestRegistryServing:
         budget = int(1.5 * one_total)
         registry = MatrixRegistry(root=tmp_path, byte_budget=budget)
         x = rng.standard_normal(dense.shape[1])
-        for name in ("a", "b"):
-            # threads=2 loads all shards at once (no in-request streaming)
-            registry.get(name).right_multiply(x, threads=2)
+        with BlockExecutor(2) as ex:
+            for name in ("a", "b"):
+                # an executor loads all shards at once (no in-request streaming)
+                registry.get(name).right_multiply(x, executor=ex)
         assert registry.resident_bytes > budget  # grown past the check
         evicted = registry.enforce_budget(keep="b")
         assert evicted >= 1

@@ -109,7 +109,10 @@ class TestMultiplication:
     def test_threads_and_executor_paths(self, sharded, dense, rng):
         x = rng.standard_normal(dense.shape[1])
         expected = dense @ x
-        assert np.allclose(sharded.right_multiply(x, threads=3), expected)
+        with BlockExecutor(3) as executor:
+            assert np.allclose(
+                sharded.right_multiply(x, executor=executor), expected
+            )
         with BlockExecutor(2) as executor:
             assert np.allclose(
                 sharded.right_multiply(x, executor=executor), expected

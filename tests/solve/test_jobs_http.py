@@ -170,15 +170,19 @@ class TestJobErrors:
         assert _get(f"{serving.url}/jobs/job-999")[0] == 404
 
     def test_bad_run_params_fail_the_job(self, serving):
-        status, body = _post(
-            f"{serving.url}/jobs",
-            {"algorithm": "power", "matrix": "web",
-             "params": {"wibble": True}},
-        )
-        assert status == 202  # accepted: params are the algorithm's own
-        job = _poll(serving.url, body["job"]["id"])
-        assert job["status"] == "failed"
-        assert "wibble" in job["error"]
+        # ``threads`` is no solver parameter: a client cannot use it to
+        # make the kernels load every shard at once past the budget.
+        for name, value in (("wibble", True), ("threads", 2)):
+            status, body = _post(
+                f"{serving.url}/jobs",
+                {"algorithm": "power", "matrix": "web",
+                 "params": {name: value}},
+            )
+            assert status == 202  # accepted: params are the algorithm's own
+            job = _poll(serving.url, body["job"]["id"])
+            assert job["status"] == "failed", name
+            assert name in job["error"]
+            assert serving.registry.stats()["shard_loads"] == 0, name
 
 
 class TestStatsIntegration:

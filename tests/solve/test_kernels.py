@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import SolveError
 from repro.solve.kernels import SolveKernels
 from tests.conftest import make_structured
 
@@ -47,8 +46,6 @@ class TestVectorKernels:
 
     def test_shape_and_validation(self, kernels, dense):
         assert kernels.shape == dense.shape
-        with pytest.raises(SolveError):
-            SolveKernels(repro.compress(dense, format="dense"), threads=0)
 
 
 class TestPanelKernels:
