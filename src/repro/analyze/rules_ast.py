@@ -760,9 +760,9 @@ def check_counter_discipline(source) -> list[Finding]:
     feeds.  Use a :class:`~repro.obs.metrics.Counter` (exposed through
     a read-only ``int`` property when the old attribute name is public
     API).  Underscore-prefixed attributes are exempt — private
-    accumulators the registry-level collectors aggregate (absorbed
-    shard counts) are a documented pattern — as is :mod:`repro.obs`
-    itself, whose instruments are the primitives.  Waive deliberate
+    accumulators a registry-level collector aggregates are a
+    documented pattern — as is :mod:`repro.obs` itself, whose
+    instruments are the primitives.  Waive deliberate
     exceptions with ``# ra: obs — <reason>``.
     """
     tag = RULE_WAIVER_TAGS["RA09"]

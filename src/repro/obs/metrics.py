@@ -16,13 +16,12 @@ Two usage modes coexist:
   :meth:`MetricsRegistry.register_collector` that run at scrape time
   and push values into collector-fed instruments
   (:meth:`Counter.set_total`, :meth:`Gauge.set`).  Used for figures
-  that are aggregates of live objects (resident bytes, per-shard
-  counters folded across evicted matrices, plan-cache hits) where an
-  increment-at-the-seam would double-count.
+  that are aggregates of live objects (resident bytes, breaker opens,
+  plan-cache hits) where an increment-at-the-seam would double-count.
 
 Instruments constructed bare (``Counter()``) work without a registry —
-internal components (a lazy sharded matrix, a per-matrix stats record)
-keep private counters that the registry-level collectors aggregate.
+an internal component (a per-matrix stats record) keeps private
+counters that a registry-level collector aggregates.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ CLI; this subsystem turns it into a queryable service, the ROADMAP's
 production-scale direction:
 
 - :mod:`repro.serve.registry` — named ``.gcmx`` store with lazy
-  loading and byte-budgeted LRU eviction;
+  loading;
+- :mod:`repro.serve.residency` — one LRU of loaded matrices and shards
+  under one byte budget, with guarded, single-flight loads;
 - :mod:`repro.serve.batch` — batched panel multiplication (one kernel
   call for ``k`` vectors) across every representation;
 - :mod:`repro.serve.executor` — a persistent thread pool over the

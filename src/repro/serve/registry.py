@@ -8,12 +8,14 @@ manager between the two:
   parses only the file header, so ``/matrices`` never loads anything;
 - **loading is lazy** — a matrix is deserialized on its first
   multiplication request and kept resident;
-- **residency is budgeted** — an optional byte budget caps the total
-  estimated footprint of resident matrices; crossing it evicts the
-  least recently *used* matrices (an :class:`~collections.OrderedDict`
-  in access order).  The matrix being loaded is never evicted on its
-  own behalf: a single matrix larger than the budget stays resident
-  alone, so every registered matrix remains servable.
+- **residency is budgeted** — the registry owns one
+  :class:`~repro.serve.residency.Residency`: whole matrices and the
+  shards of lazily served sharded matrices share its one
+  least-recently-*used* order under one optional byte budget, so a
+  lazy matrix loses cold shards, never itself.  The matrix a request
+  asked for is never evicted on its own behalf: a single matrix larger
+  than the budget stays resident alone, so every registered matrix
+  remains servable.
 
 The budget charge is :func:`resident_estimate` — ``size_bytes()``
 *plus* each format's self-reported
@@ -33,22 +35,21 @@ build it once and keep it, trading the extra resident bytes — which
 this registry charges — for warm-request latency (the cold/warm gap is
 tracked in ``BENCH_hotpaths.json``).
 
-All operations are thread-safe, and loads happen *outside* the
-registry-wide lock (one short-lived per-entry lock serialises
-concurrent loads of the same matrix): a slow cold load of one matrix
-never stalls requests for already-resident ones.
+All operations are thread-safe, and loads happen outside every lock
+(the residency keeps one load in flight per matrix, and a request
+waiting on it gives up at its own deadline): a slow cold load of one
+matrix never stalls requests for already-resident ones.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Any
 
-from repro.errors import DeadlineExceededError, ReproError, SerializationError
+from repro.errors import ReproError, SerializationError
 from repro.io.serialize import (
     ShardManifestEntry,
     format_of_info,
@@ -56,64 +57,24 @@ from repro.io.serialize import (
     read_matrix_info,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import add_event, span
-from repro.resilience.policy import (
-    STATE_CLOSED,
-    STATE_OPEN,
-    CircuitBreaker,
-    RetryPolicy,
-)
+from repro.obs.trace import span
+from repro.resilience.policy import RetryPolicy
+from repro.serve.residency import Residency, resident_estimate
 
 #: File suffix scanned by :meth:`MatrixRegistry.scan`.
 GCMX_SUFFIX = ".gcmx"
 
 
-def resident_estimate(matrix: Any) -> int:
-    """Estimated live bytes of a served matrix: payload + working caches.
-
-    Serving multiplies repeatedly, so the caches warm immediately and
-    are charged up front.  Each format reports its own cache footprint
-    (:meth:`repro.formats.MatrixFormat.resident_overhead_bytes`): a
-    CSRV block's decoded views and scipy CSR panel view, and a grammar
-    block's retained multiplication plan with its bound weights
-    (``re_32`` retains by default; ``re_iv``/``re_ans`` once the
-    registry enabled plan retention on them).  Call it *after*
-    ``enable_plan_retention`` so the charge covers the plan.
-    """
-    footprint = getattr(matrix, "resident_footprint_bytes", None)
-    if footprint is not None:
-        return int(footprint())
-    overhead = getattr(matrix, "resident_overhead_bytes", None)
-    return int(matrix.size_bytes()) + int(overhead() if overhead else 0)
-
-
-def _release_plans(matrix: Any) -> None:
-    """Free a matrix's retained plans on eviction (duck-typed no-op)."""
-    release = getattr(matrix, "release_retained_plans", None)
-    if release is not None:
-        release()
-
-
 @dataclass
 class RegistryEntry:
-    """One registered matrix: its file, header info, and residency."""
+    """One registered matrix: its file and header info."""
 
     name: str
     path: Path
     info: dict = field(default_factory=dict)
-    matrix: Any = None
-    resident_bytes: int = 0
     #: shard placement from the store catalog — lets a lazy sharded
     #: load skip the manifest read entirely (``None`` = read from file).
     manifest: list[ShardManifestEntry] | None = None
-    #: serialises concurrent cold loads of this one entry.
-    load_lock: threading.Lock = field(default_factory=threading.Lock)
-    #: guards this entry's load path (set by ``register``).
-    breaker: CircuitBreaker | None = None
-
-    @property
-    def resident(self) -> bool:
-        return self.matrix is not None
 
 
 class MatrixRegistry:
@@ -125,8 +86,8 @@ class MatrixRegistry:
         Optional directory to :meth:`scan` for ``*.gcmx`` files at
         construction (each file registers under its stem).
     byte_budget:
-        Optional cap on the summed in-memory ``size_bytes()`` of
-        resident matrices; ``None`` disables eviction.
+        Optional cap on the summed :func:`resident_estimate` of
+        resident matrices and shards; ``None`` disables eviction.
     retain_plans:
         Enable multiplication-plan retention on every loaded matrix
         (default ``True`` — the serving configuration).  The retained
@@ -135,11 +96,11 @@ class MatrixRegistry:
     lazy_shards:
         Serve ``"sharded"`` container files through
         :class:`repro.shard.LazyShardedMatrix` (default ``True``):
-        only the shard manifest is read at load time, shard payloads
-        stream in on demand, and the matrix keeps its own loaded set
-        within this registry's ``byte_budget`` by evicting cold
-        *shards* after every multiplication.  ``False`` materialises
-        sharded entries whole, like any other format.
+        only the shard manifest is read at load time, and shard
+        payloads stream in on demand as units of this registry's
+        :attr:`residency`, so cold *shards* are evicted under
+        ``byte_budget`` alongside whole matrices.  ``False``
+        materialises sharded entries whole, like any other format.
     """
 
     def __init__(
@@ -155,24 +116,23 @@ class MatrixRegistry:
         mmap: bool = False,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if byte_budget is not None and byte_budget < 1:
-            raise ReproError(f"byte_budget must be >= 1, got {byte_budget}")
-        self._budget = byte_budget
         self._retain_plans = bool(retain_plans)
         self._lazy_shards = bool(lazy_shards)
-        self._retry = retry_policy or RetryPolicy(
-            max_attempts=3, base_delay=0.01, max_delay=0.25
-        )
-        self._breaker_threshold = int(breaker_threshold)
-        self._breaker_reset = float(breaker_reset)
         self._lock = threading.RLock()
-        #: access-ordered: least recently used first.
-        self._entries: OrderedDict[str, RegistryEntry] = OrderedDict()
+        self._entries: dict[str, RegistryEntry] = {}
         self._mmap = bool(mmap)
         self._store: Any = None
         #: the single sink for every counter this registry keeps; the
         #: server adopts it so ``/metrics`` scrapes one registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: every loaded matrix and shard, in one LRU under the budget.
+        self.residency = Residency(
+            byte_budget,
+            retry_policy=retry_policy,
+            breaker_threshold=breaker_threshold,
+            breaker_reset=breaker_reset,
+            metrics=self.metrics,
+        )
         lookups = self.metrics.counter(
             "repro_registry_lookups_total",
             "Registry lookups by result (hit = already resident).",
@@ -180,21 +140,6 @@ class MatrixRegistry:
         )
         self._c_hits = lookups.labels(result="hit")
         self._c_misses = lookups.labels(result="miss")
-        self._c_loads = self.metrics.counter(
-            "repro_registry_loads_total", "Matrices deserialized from disk."
-        )
-        self._c_evictions = self.metrics.counter(
-            "repro_registry_evictions_total",
-            "Whole-matrix evictions (explicit or over-budget).",
-        )
-        self._c_load_retries = self.metrics.counter(
-            "repro_registry_load_retries_total",
-            "Transient load failures retried under the retry policy.",
-        )
-        self._c_load_failures = self.metrics.counter(
-            "repro_registry_load_failures_total",
-            "Matrix loads that exhausted retries and failed.",
-        )
         #: header prefixes parsed by :meth:`register` — the cost a
         #: catalog-driven cold start avoids (store-smoke asserts 0).
         self._c_header_reads = self.metrics.counter(
@@ -210,12 +155,6 @@ class MatrixRegistry:
             "repro_registry_load_seconds",
             "Wall time of whole-matrix cold loads in seconds.",
         )
-        # Shard counters of lazy sharded matrices that were since
-        # whole-evicted — folded in here so /stats never goes backwards.
-        self._shard_loads_absorbed = 0
-        self._shard_evictions_absorbed = 0
-        self._shard_retries_absorbed = 0
-        self._shard_failures_absorbed = 0
         self.metrics.register_collector(self._collect_metrics)
         if root is not None:
             self.scan(root)
@@ -234,19 +173,19 @@ class MatrixRegistry:
 
     @property
     def loads(self) -> int:
-        return int(self._c_loads.value)
+        return int(self.residency.matrix_counts.loads.value)
 
     @property
     def evictions(self) -> int:
-        return int(self._c_evictions.value)
+        return int(self.residency.matrix_counts.evictions.value)
 
     @property
     def load_retries(self) -> int:
-        return int(self._c_load_retries.value)
+        return int(self.residency.matrix_counts.retries.value)
 
     @property
     def load_failures(self) -> int:
-        return int(self._c_load_failures.value)
+        return int(self.residency.matrix_counts.failures.value)
 
     @property
     def header_reads(self) -> int:
@@ -257,9 +196,8 @@ class MatrixRegistry:
         return int(self._c_catalog_registrations.value)
 
     def _collect_metrics(self) -> None:
-        """Scrape-time collector: residency gauges, shard/breaker
-        aggregates (absorbed + live, so the totals never go backwards),
-        and the global plan cache's counters."""
+        """Scrape-time collector: residency gauges, breaker opens, and
+        the global plan cache's counters."""
         stats = self.stats()
         m = self.metrics
         m.gauge(
@@ -284,22 +222,6 @@ class MatrixRegistry:
             "repro_registry_degraded",
             "Entries with recent failures or open shard breakers.",
         ).set(stats["degraded"])
-        m.counter(
-            "repro_shard_loads_total",
-            "Shard payloads streamed in (absorbed + live).",
-        ).set_total(stats["shard_loads"])
-        m.counter(
-            "repro_shard_evictions_total",
-            "Shards evicted back to disk (absorbed + live).",
-        ).set_total(stats["shard_evictions"])
-        m.counter(
-            "repro_shard_retries_total",
-            "Transient shard-load failures retried (absorbed + live).",
-        ).set_total(stats["shard_retries"])
-        m.counter(
-            "repro_shard_failures_total",
-            "Shard loads that exhausted retries (absorbed + live).",
-        ).set_total(stats["shard_failures"])
         m.counter(
             "repro_breaker_opens_total",
             "Circuit breaker open transitions across entries and shards.",
@@ -332,21 +254,15 @@ class MatrixRegistry:
         info = read_matrix_info(path)
         with self._lock:
             self._c_header_reads.inc()
-            entry = RegistryEntry(
-                name=name,
-                path=path,
-                info=info,
-                # Re-registration gets a fresh breaker: the file may
-                # have been replaced with a healthy one.
-                breaker=CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
-                    reset_timeout=self._breaker_reset,
-                    name=f"matrix {name!r}",
-                ),
-            )
-            self._entries[name] = entry
-            self._entries.move_to_end(name, last=False)  # cold = LRU end
-            return entry
+            return self._add_locked(RegistryEntry(name=name, path=path, info=info))
+
+    def _add_locked(self, entry: RegistryEntry) -> RegistryEntry:
+        # A re-registered name may point at a replaced file: its old
+        # matrix goes with its retained plans, and a fresh breaker
+        # guards the new file.
+        self.residency.discard(entry.name, breakers=True)
+        self._entries[entry.name] = entry
+        return entry
 
     def scan(self, root: Any) -> list[str]:
         """Register every ``*.gcmx`` file under ``root`` by file stem.
@@ -381,20 +297,14 @@ class MatrixRegistry:
         )
         with self._lock:
             self._c_catalog_registrations.inc()
-            entry = RegistryEntry(
-                name=record.name,
-                path=Path(record.path),
-                info=record.info(),
-                manifest=manifest,
-                breaker=CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
-                    reset_timeout=self._breaker_reset,
-                    name=f"matrix {record.name!r}",
-                ),
+            return self._add_locked(
+                RegistryEntry(
+                    name=record.name,
+                    path=Path(record.path),
+                    info=record.info(),
+                    manifest=manifest,
+                )
             )
-            self._entries[record.name] = entry
-            self._entries.move_to_end(record.name, last=False)
-            return entry
 
     def register_store(self, store: Any) -> list[str]:
         """Register every matrix of a store from its catalog.
@@ -446,7 +356,7 @@ class MatrixRegistry:
     # -- lookup -------------------------------------------------------------------
 
     def names(self) -> list[str]:
-        """Registered names, most recently used last."""
+        """Registered names, in registration order."""
         with self._lock:
             return list(self._entries)
 
@@ -458,46 +368,26 @@ class MatrixRegistry:
         with self._lock:
             return len(self._entries)
 
-    def _entry_state(self, entry: RegistryEntry) -> str:
-        """``healthy`` / ``degraded`` / ``quarantined`` for one entry.
-
-        The entry's own load breaker dominates (an open breaker means
-        the whole matrix fails fast); otherwise a resident matrix with
-        internal degradation (a lazy sharded matrix with quarantined
-        shards) reports its own state.
-        """
-        breaker = entry.breaker
-        if breaker is not None:
-            bstate = breaker.state
-            if bstate == STATE_OPEN:
-                return "quarantined"
-            if bstate != STATE_CLOSED or breaker.consecutive_failures > 0:
-                return "degraded"
-        inner = getattr(entry.matrix, "state", None) if entry.resident else None
-        return inner if isinstance(inner, str) else "healthy"
-
     def describe(self, name: str) -> dict:
         """Header info plus residency and health for one matrix (no load)."""
         with self._lock:
             entry = self._require(name)
-            out = {"name": name, "path": str(entry.path), **entry.info}
-            out["format"] = format_of_info(entry.info)
-            out["resident"] = entry.resident
-            out["state"] = self._entry_state(entry)
-            if entry.resident:
-                self._refresh_residency(entry)
-                out["resident_bytes"] = entry.resident_bytes
-                resident_shards = getattr(
-                    entry.matrix, "resident_shards", None
-                )
-                if resident_shards is not None:
-                    out["resident_shards"] = resident_shards
-            return out
+        matrix = self.residency.peek((name, None))
+        out = {"name": name, "path": str(entry.path), **entry.info}
+        out["format"] = format_of_info(entry.info)
+        out["resident"] = matrix is not None
+        # The matrix's own breaker, and a lazy matrix's shard breakers.
+        out["state"] = self.residency.state(name, matrix)
+        if matrix is not None:
+            out["resident_bytes"] = resident_estimate(matrix)
+            resident_shards = getattr(matrix, "resident_shards", None)
+            if resident_shards is not None:
+                out["resident_shards"] = resident_shards
+        return out
 
     def entries(self) -> list[dict]:
         """:meth:`describe` for every registered matrix (sorted by name)."""
-        with self._lock:
-            return [self.describe(name) for name in sorted(self._entries)]
+        return [self.describe(name) for name in sorted(self.names())]
 
     def _require(self, name: str) -> RegistryEntry:
         entry = self._entries.get(name)
@@ -510,84 +400,50 @@ class MatrixRegistry:
     def get(self, name: str) -> Any:
         """Return the matrix behind ``name``, loading it if needed.
 
-        Marks the entry most-recently-used and, after a load, evicts
-        least-recently-used residents until the byte budget holds
-        again (never the entry just requested).  The disk read and
-        deserialization run outside the registry lock, so concurrent
-        requests for resident matrices are never stalled by a cold
-        load; concurrent loads of the *same* matrix are serialised by
-        the entry's own lock (one load, the rest wait and reuse it).
+        One :meth:`~repro.serve.residency.Residency.get` of the unit
+        ``(name, None)``: a resident matrix is marked most recently
+        used; otherwise it is loaded (or, while another request loads
+        it, awaited within this request's deadline) and the budget is
+        trimmed, never evicting ``name`` itself.  The disk read and
+        deserialization run outside every lock, so concurrent requests
+        for resident matrices are never stalled by a cold load.
 
         The load path is guarded: transient ``OSError`` reads retry
         under the registry's :class:`~repro.resilience.policy.RetryPolicy`,
-        and every entry has a circuit breaker — after
-        ``breaker_threshold`` consecutive load failures the entry is
+        and every matrix has a circuit breaker — after
+        ``breaker_threshold`` consecutive load failures it is
         quarantined and requests fail fast with
         :class:`~repro.errors.CircuitOpenError` (HTTP 503 +
-        ``Retry-After``) until the breaker half-opens.  Other entries
+        ``Retry-After``) until the breaker half-opens.  Other matrices
         are unaffected: a corrupt file never takes the registry down.
         """
         with span("registry.get", matrix=name) as sp:
             with self._lock:
                 entry = self._require(name)
-                self._entries.move_to_end(name)
-                if entry.matrix is not None:
-                    self._c_hits.inc()
-                    sp.set("hit", True)
-                    return entry.matrix
-            with entry.load_lock:
-                with self._lock:
-                    if entry.matrix is not None:  # a concurrent load won
-                        self._c_hits.inc()
-                        sp.set("hit", True)
-                        return entry.matrix
+            started: list[float] = []
+
+            def load() -> Any:
+                if not started:  # retries call again: one miss per load
+                    started.append(perf_counter())
                     self._c_misses.inc()
-                    sp.set("hit", False)
-                breaker = entry.breaker
-                if breaker is not None:
-                    breaker.allow()  # CircuitOpenError when quarantined
-
-                def _count_retry(attempt: int, exc: BaseException) -> None:
-                    self._c_load_retries.inc()
-                    add_event(
-                        "load.retry",
-                        attempt=attempt,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-
-                load_started = perf_counter()
-                try:
-                    matrix = self._retry.run(
-                        lambda: self._load_entry(entry),
-                        retry_on=(OSError,),
-                        no_retry=(DeadlineExceededError,),
-                        on_retry=_count_retry,
-                        label=f"load of matrix {name!r}",
-                    )
-                    if self._retain_plans:
-                        # Served matrices multiply repeatedly: switch formats
-                        # that rebuild their multiplication schedule per call
-                        # into build-once retention *before* estimating
-                        # residency, so the budget charge includes the plan.
-                        matrix.enable_plan_retention(True)
-                except DeadlineExceededError:
-                    # The request ran out of budget — says nothing about
-                    # the entry's health, so the breaker stays untouched.
-                    raise
-                except (ReproError, OSError):
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self._c_load_failures.inc()
-                    raise
-                if breaker is not None:
-                    breaker.record_success()
-                self._h_load_seconds.observe(perf_counter() - load_started)
-                with self._lock:
-                    entry.matrix = matrix
-                    entry.resident_bytes = resident_estimate(matrix)
-                    self._c_loads.inc()
-                    self._evict_over_budget(keep=name)
+                matrix = self._load_entry(entry)
+                if self._retain_plans:
+                    # Served matrices multiply repeatedly: switch formats
+                    # that rebuild their multiplication schedule per call
+                    # into build-once retention *before* the residency
+                    # charges the matrix, so the charge includes the plan.
+                    matrix.enable_plan_retention(True)
                 return matrix
+
+            key = (name, None)
+            matrix = self.residency.get(key, load, f"matrix {name!r}")
+            sp.set("hit", not started)
+            if not started:
+                self._c_hits.inc()
+                return matrix
+            self._h_load_seconds.observe(perf_counter() - started[0])
+            self.residency.trim(keep=key)
+            return matrix
 
     def _load_entry(self, entry: RegistryEntry) -> Any:
         """Deserialize one entry — lazily for sharded containers."""
@@ -605,92 +461,34 @@ class MatrixRegistry:
                 shape = entry.info.get("shape")
                 return LazyShardedMatrix(
                     entry.path,
-                    shard_byte_budget=self._budget,
-                    retry_policy=self._retry,
-                    breaker_threshold=self._breaker_threshold,
-                    breaker_reset=self._breaker_reset,
+                    residency=self.residency,
                     manifest=entry.manifest,
                     shape=tuple(shape) if shape is not None else None,
                     mmap=self._mmap,
                 )
             return load_matrix(entry.path, mmap=self._mmap)
 
-    def _refresh_residency(self, entry: RegistryEntry) -> None:
-        """Re-poll entries whose footprint moves between requests
-        (lazy sharded matrices load/evict shards during multiplies)."""
-        if entry.matrix is not None and getattr(
-            entry.matrix, "dynamic_residency", False
-        ):
-            entry.resident_bytes = resident_estimate(entry.matrix)
-
-    def _absorb_shard_counters(self, matrix: Any) -> None:
-        """Keep a whole-evicted lazy matrix's shard counters in /stats."""
-        if hasattr(matrix, "shard_loads"):
-            self._shard_loads_absorbed += matrix.shard_loads  # ra: unlocked — both callers (evict, _evict_over_budget) hold self._lock
-            self._shard_evictions_absorbed += matrix.shard_evictions  # ra: unlocked — both callers (evict, _evict_over_budget) hold self._lock
-        if hasattr(matrix, "shard_retries"):
-            self._shard_retries_absorbed += matrix.shard_retries  # ra: unlocked — both callers (evict, _evict_over_budget) hold self._lock
-            self._shard_failures_absorbed += matrix.shard_failures  # ra: unlocked — both callers (evict, _evict_over_budget) hold self._lock
-
     def evict(self, name: str) -> bool:
         """Drop ``name``'s resident matrix (keeps the registration)."""
         with self._lock:
-            entry = self._require(name)
-            if entry.matrix is None:
-                return False
-            self._absorb_shard_counters(entry.matrix)
-            _release_plans(entry.matrix)
-            entry.matrix = None
-            entry.resident_bytes = 0
-            self._c_evictions.inc()
-            return True
+            self._require(name)
+        return self.residency.discard(name) > 0
 
     def enforce_budget(self, keep: str | None = None) -> int:
-        """Re-apply the byte budget to the *current* residency.
+        """Trim the residency to the byte budget, keeping ``keep``.
 
-        Lazy sharded entries grow their footprint during multiplies
-        (shards stream in after the load-time budget check), so the
-        serving layer calls this after answering a request: residency
-        is re-polled and least-recently-used residents — other than
-        ``keep`` — are whole-evicted until the budget holds again.
-        Returns the number of evictions performed.
+        The serving layer calls this after answering a request for
+        ``keep``.  Returns the number of units (matrices or shards)
+        evicted.
         """
-        with self._lock:
-            before = self.evictions
-            self._evict_over_budget(keep=keep)
-            return self.evictions - before
-
-    def _evict_over_budget(self, keep: str | None) -> None:
-        if self._budget is None:
-            return
-        while self.resident_bytes > self._budget:
-            # resident_bytes refreshed dynamic entries above, so lazy
-            # sharded matrices are charged for their loaded window only.
-            victim = next(
-                (
-                    e
-                    for e in self._entries.values()
-                    if e.resident and e.name != keep
-                ),
-                None,
-            )
-            if victim is None:
-                break  # only `keep` is resident — it always stays servable
-            # Free the victim's retained plans with it: the budget
-            # charged them, so they must not outlive the eviction in
-            # the shared plan cache.
-            self._absorb_shard_counters(victim.matrix)
-            _release_plans(victim.matrix)
-            victim.matrix = None
-            victim.resident_bytes = 0
-            self._c_evictions.inc()
+        return self.residency.trim(keep=None if keep is None else (keep, None))
 
     # -- accounting -------------------------------------------------------------------
 
     @property
     def byte_budget(self) -> int | None:
         """The configured residency budget (``None`` = unlimited)."""
-        return self._budget
+        return self.residency.byte_budget
 
     @property
     def retain_plans(self) -> bool:
@@ -699,67 +497,45 @@ class MatrixRegistry:
 
     @property
     def resident_bytes(self) -> int:
-        """Summed live footprint of currently resident matrices.
-
-        Entries with a moving footprint (lazy sharded containers) are
-        re-polled, so the figure follows their loaded shard window.
-        """
-        with self._lock:
-            for entry in self._entries.values():
-                self._refresh_residency(entry)
-            return sum(e.resident_bytes for e in self._entries.values())
+        """Summed charges of the resident matrices and shards."""
+        return self.residency.resident_bytes
 
     def stats(self) -> dict[str, Any]:
         """Counters for ``/stats``: hits, misses, loads, evictions, residency."""
+        residency = self.residency
         with self._lock:
-            shard_loads = self._shard_loads_absorbed
-            shard_evictions = self._shard_evictions_absorbed
-            shard_retries = self._shard_retries_absorbed
-            shard_failures = self._shard_failures_absorbed
-            resident_shards = 0
-            breaker_opens = 0
-            quarantined = degraded = 0
-            for entry in self._entries.values():
-                if entry.matrix is not None and hasattr(
-                    entry.matrix, "shard_loads"
-                ):
-                    shard_loads += entry.matrix.shard_loads
-                    shard_evictions += entry.matrix.shard_evictions
-                    resident_shards += entry.matrix.resident_shards
-                matrix_stats = getattr(entry.matrix, "resilience_stats", None)
-                if matrix_stats is not None:
-                    inner = matrix_stats()
-                    shard_retries += inner["shard_retries"]
-                    shard_failures += inner["shard_failures"]
-                    breaker_opens += inner["breaker_opens"]
-                if entry.breaker is not None:
-                    breaker_opens += entry.breaker.opens
-                state = self._entry_state(entry)
-                quarantined += state == "quarantined"
-                degraded += state == "degraded"
-            return {
-                "matrices": len(self._entries),
-                "resident": sum(e.resident for e in self._entries.values()),
-                "resident_bytes": self.resident_bytes,
-                "byte_budget": self._budget,
-                "retain_plans": self._retain_plans,
-                "lazy_shards": self._lazy_shards,
-                "resident_shards": resident_shards,
-                "shard_loads": shard_loads,
-                "shard_evictions": shard_evictions,
-                "shard_retries": shard_retries,
-                "shard_failures": shard_failures,
-                "hits": self.hits,
-                "misses": self.misses,
-                "loads": self.loads,
-                "evictions": self.evictions,
-                "load_retries": self.load_retries,
-                "load_failures": self.load_failures,
-                "header_reads": self.header_reads,
-                "catalog_registrations": self.catalog_registrations,
-                "mmap": self._mmap,
-                "store": self._store is not None,
-                "breaker_opens": breaker_opens,
-                "quarantined": quarantined,
-                "degraded": degraded,
-            }
+            names = list(self._entries)
+            store = self._store
+        quarantined = degraded = 0
+        for name in names:
+            state = residency.state(name, residency.peek((name, None)))
+            quarantined += state == "quarantined"
+            degraded += state == "degraded"
+        resident, resident_shards = residency.census()
+        shards = residency.shard_counts
+        return {
+            "matrices": len(names),
+            "resident": resident,
+            "resident_bytes": residency.resident_bytes,
+            "byte_budget": residency.byte_budget,
+            "retain_plans": self._retain_plans,
+            "lazy_shards": self._lazy_shards,
+            "resident_shards": resident_shards,
+            "shard_loads": int(shards.loads.value),
+            "shard_evictions": int(shards.evictions.value),
+            "shard_retries": int(shards.retries.value),
+            "shard_failures": int(shards.failures.value),
+            "hits": self.hits,
+            "misses": self.misses,
+            "loads": self.loads,
+            "evictions": self.evictions,
+            "load_retries": self.load_retries,
+            "load_failures": self.load_failures,
+            "header_reads": self.header_reads,
+            "catalog_registrations": self.catalog_registrations,
+            "mmap": self._mmap,
+            "store": store is not None,
+            "breaker_opens": residency.breaker_opens(),
+            "quarantined": quarantined,
+            "degraded": degraded,
+        }

@@ -4,8 +4,9 @@ Splits a dense matrix into contiguous row shards, compresses each shard
 independently through the format registry (mixing formats per shard by
 density profile), and serves the logical matrix through scatter-gather
 multiplication.  The serving registry loads sharded container files
-shard-by-shard and evicts cold *shards* — not whole matrices — under
-its byte budget.
+shard-by-shard: their shards share one LRU and one byte budget with
+whole matrices (:mod:`repro.serve.residency`), so cold *shards* are
+evicted, never the sharded matrix itself.
 """
 
 from repro.shard.matrix import LazyShardedMatrix, ShardedMatrix, build_sharded

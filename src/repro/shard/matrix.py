@@ -14,17 +14,18 @@ this module:
 
 :class:`LazyShardedMatrix`
     The serving form — holds only the container file's shard manifest
-    and loads shard payloads on demand.  Each shard is an LRU entry
-    under an optional ``shard_byte_budget``: after every shard visit
-    the coldest unpinned shards are dropped back to disk until the
-    loaded set fits, so the serving registry evicts *shards*, not
-    whole matrices.  Overlapping requests share their scans: a pass
-    starts at the shard most recently started by any pass and wraps
-    around, pins the shard it is visiting, waits for a load of that
-    shard already in flight instead of starting a second one, and
-    leaves a shard only once the other passes visiting it are done, so
-    concurrent passes run in lockstep and each cold shard is loaded,
-    decoded and planned once per scan.
+    and asks a :class:`repro.serve.residency.Residency` for shard
+    ``i``, which loads it on demand and keeps it in the one LRU the
+    serving registry's whole matrices share: after every shard visit
+    the coldest unpinned units are dropped until the budget holds, so
+    the registry evicts *shards*, never the lazy matrix itself.
+    Overlapping requests share their scans: a pass starts at the shard
+    most recently started by any pass and wraps around, pins the shard
+    it is visiting, waits for a load of that shard already in flight
+    instead of starting a second one, and leaves a shard only once the
+    other passes visiting it are done, so concurrent passes run in
+    lockstep and each cold shard is loaded, decoded and planned once
+    per scan.
 
 Multiplication is scatter-gather over the row partition: right
 multiplication fans the operand out to every shard and concatenates
@@ -48,24 +49,10 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.formats.base import MatrixFormat
-from repro.obs.metrics import Counter
-from repro.obs.trace import add_event, span
+from repro.obs.trace import span
 from repro.resilience import faults as _faults
-from repro.resilience.policy import (
-    STATE_CLOSED,
-    STATE_OPEN,
-    CircuitBreaker,
-    RetryPolicy,
-    check_deadline,
-    current_deadline,
-)
+from repro.resilience.policy import STATE_OPEN, check_deadline
 from repro.shard.plan import ShardPlan, plan_shards
-
-#: Degradation states reported by :attr:`LazyShardedMatrix.state` (and
-#: surfaced through the registry's ``describe()`` / ``/stats``).
-STATE_HEALTHY = "healthy"
-STATE_DEGRADED = "degraded"
-STATE_QUARANTINED = "quarantined"
 
 
 def _offsets_of(row_counts) -> np.ndarray:
@@ -136,7 +123,7 @@ class _ShardFanout(MatrixFormat):
         for the visit, and :meth:`_after_shard` waits for the shard's
         other visitors, releases the pin and streams unpinned cold
         shards back out, so one request never holds more than the
-        shard byte budget plus the shard it is visiting.
+        byte budget plus the shard it is visiting.
         """
         if executor is not None:
             return executor.map_blocks(fn, self._all_shards())
@@ -348,70 +335,46 @@ class LazyShardedMatrix(_ShardFanout):
     """A sharded container file served shard-by-shard under a byte budget.
 
     Construction reads only the shard manifest (row ranges and byte
-    ranges); each shard payload is deserialized on the first
-    multiplication that needs it and kept as an LRU entry.  When
-    ``shard_byte_budget`` is set, the loaded set is trimmed to the
-    budget by evicting least-recently-used shards — *between* shard
-    visits on the sequential path, and after the request on the
-    ``executor`` path (which needs all shards live at once;
-    parallelism deliberately trades the in-request bound for
-    speed).  The whole matrix stays registered and servable while only
-    a sliding window of shards is resident.
+    ranges).  Shard ``i`` is the unit ``(self, i)`` of ``residency``
+    (a :class:`repro.serve.residency.Residency`; a private one with no
+    budget when none is given): it is deserialized on the first
+    multiplication that needs it and evicted through the residency's
+    one LRU, which also holds whole matrices and other lazy matrices'
+    shards when the serving registry lends its own.  The residency is
+    trimmed *between* shard visits on the sequential path and after
+    the pass on the ``executor`` path (which needs all shards live at
+    once; parallelism deliberately trades the in-request bound for
+    speed).  The matrix itself stays servable while only a sliding
+    window of shards is resident.
 
     Concurrent requests share one circular scan.  A sequential pass
     starts at the shard most recently started by any pass and wraps
-    around; it *pins* the shard it is visiting, and eviction skips
-    pinned shards.  Each shard has at most one load in flight: a
-    request that needs a shard another request is loading waits for
-    that load instead of reading it again, and
-    the shard's retained engine is built once as well
-    (:meth:`~repro.core.gcm.GrammarCompressedMatrix._get_engine`).  So
-    a request arriving mid-pass joins the shard in flight, and a pass
-    leaves a shard only once the other passes visiting it are done,
-    so the passes run in lockstep and a cold shard is loaded, decoded
-    and planned once per scan rather than once per request.  Every
-    wait is bounded by the waiting request's own ambient deadline; if
-    the load it waits for fails or runs out of *its* request's
-    deadline, the waiter loads the shard itself, so no request fails
-    on another's deadline and breakers and retries count only real
-    attempts.  Waits record ``shard.wait`` spans (``on="load"`` or
-    ``on="visit"``).  The budget contract is therefore: the loaded set
-    holds at most the budget plus one in-flight (pinned) shard per
-    concurrent request.
+    around, and *pins* the shard it is visiting.  With the residency's
+    one load in flight per shard, a request arriving mid-pass joins
+    the shard in flight, and a pass leaves a shard only once the other
+    passes visiting it are done, so the passes run in lockstep and a
+    cold shard is loaded, decoded and planned (one retained engine,
+    :meth:`~repro.core.gcm.GrammarCompressedMatrix._get_engine`) once
+    per scan rather than once per request.  Every wait is bounded by
+    the waiting request's own deadline and records a ``shard.wait``
+    span (``on="load"`` or ``on="visit"``).
 
-    The serving registry (:class:`repro.serve.registry.MatrixRegistry`)
-    builds these for ``"sharded"`` entries, passing its own byte budget
-    through, and re-polls :meth:`resident_footprint_bytes` (see
-    :attr:`dynamic_residency`) so its accounting follows the loaded
-    window rather than a load-time snapshot.
-
-    Shard loads are resilient: transient IO failures retry under
-    ``retry_policy`` (corruption does not — an
-    :class:`~repro.errors.IntegrityError` re-reads the same broken
-    bytes), every shard has its own
-    :class:`~repro.resilience.policy.CircuitBreaker`, and a shard
-    whose breaker is open is *quarantined* — loads fail fast with
-    :class:`~repro.errors.ShardUnavailableError` until the breaker
-    half-opens and a probe load succeeds.  The matrix keeps serving
-    work that avoids quarantined shards, and :attr:`state` /
-    :meth:`resilience_stats` expose
-    ``healthy`` / ``degraded`` / ``quarantined`` for the registry.
-    Loads honour the ambient request deadline
-    (:func:`repro.resilience.policy.deadline_scope`).
+    Shard loads are guarded by the residency's retries and one
+    :class:`~repro.resilience.policy.CircuitBreaker` per shard: a
+    failed load raises :class:`~repro.errors.ShardUnavailableError`,
+    and a shard whose breaker is open is *quarantined* — it fails fast
+    until the breaker half-opens and a probe load succeeds.  The
+    matrix keeps serving work that avoids quarantined shards, and
+    :attr:`state` / :meth:`resilience_stats` expose ``healthy`` /
+    ``degraded`` / ``quarantined``.  Loads honour the ambient request
+    deadline (:func:`repro.resilience.policy.deadline_scope`).
     """
-
-    #: Tells the serving registry this matrix's resident footprint
-    #: changes between requests and must be re-polled.
-    dynamic_residency = True
 
     def __init__(
         self,
         path,
-        shard_byte_budget: int | None = None,
+        residency=None,
         retain_plans: bool = False,
-        retry_policy: RetryPolicy | None = None,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 30.0,
         manifest: list | None = None,
         shape: tuple[int, int] | None = None,
         mmap: bool = False,
@@ -427,120 +390,69 @@ class LazyShardedMatrix(_ShardFanout):
 
             self._shape, self._manifest = read_shard_manifest(path)
         self._offsets = _offsets_of([e.n_rows for e in self._manifest])
-        self._budget = shard_byte_budget
+        if residency is None:
+            from repro.serve.residency import Residency
+
+            residency = Residency()
+        #: where this matrix's shards live (shared with the registry's
+        #: whole matrices when served).
+        self.residency = residency
         self._retain_plans = bool(retain_plans)
         self._lock = threading.RLock()
-        self._visit_ended = threading.Condition(self._lock)
-        self._loaded: dict[int, object] = {}
-        self._last_use: dict[int, int] = {}
-        self._tick = 0
-        # Shared-scan state: pins held by passes visiting a shard, the
-        # one load in flight per shard, and the most recent pass start.
-        self._pins: dict[int, int] = {}
-        self._inflight: dict[int, threading.Event] = {}
+        #: the most recent pass start, where the next pass joins.
         self._scan_head = 0
-        self._retry = retry_policy or RetryPolicy(
-            max_attempts=3, base_delay=0.01, max_delay=0.25
-        )
-        self._breaker_threshold = int(breaker_threshold)
-        self._breaker_reset = float(breaker_reset)
-        self._breakers: dict[int, CircuitBreaker] = {}
         self._mmap = bool(mmap)
         self._view: memoryview | None = None
-        # Standalone obs counters (not registered with any metrics
-        # registry): the serving registry aggregates them across live
-        # and whole-evicted matrices at scrape time, so registering the
-        # raw values too would double-count.
-        self._shard_loads = Counter()
-        self._shard_evictions = Counter()
-        self._shard_retries = Counter()
-        self._shard_failures = Counter()
 
     @property
     def shard_loads(self) -> int:
-        return int(self._shard_loads.value)
+        return int(self.residency.shard_counts.loads.value)
 
     @property
     def shard_evictions(self) -> int:
-        return int(self._shard_evictions.value)
+        return int(self.residency.shard_counts.evictions.value)
 
     @property
     def shard_retries(self) -> int:
-        return int(self._shard_retries.value)
+        return int(self.residency.shard_counts.retries.value)
 
     @property
     def shard_failures(self) -> int:
-        return int(self._shard_failures.value)
+        return int(self.residency.shard_counts.failures.value)
 
-    # -- shard loading and eviction ---------------------------------------------------
+    # -- shard loading ----------------------------------------------------------------
 
     @property
     def path(self):
         return self._path
 
     @property
-    def shard_byte_budget(self) -> int | None:
-        return self._budget
-
-    @property
     def resident_shards(self) -> int:
         """How many shards are currently loaded."""
-        with self._lock:
-            return len(self._loaded)
+        return len(self.residency.loaded(self))
 
     @property
     def state(self) -> str:
-        """Degradation state: ``healthy`` / ``degraded`` / ``quarantined``.
-
-        *Quarantined* — at least one shard breaker is open (that shard
-        fails fast until its reset timeout); *degraded* — no breaker is
-        open but some shard has recent failures (half-open probes or a
-        partial failure streak); *healthy* — everything clean.
-        """
-        with self._lock:
-            breakers = list(self._breakers.values())
-        states = [b.state for b in breakers]
-        if any(s == STATE_OPEN for s in states):
-            return STATE_QUARANTINED
-        if any(
-            s != STATE_CLOSED or b.consecutive_failures > 0
-            for s, b in zip(states, breakers, strict=True)
-        ):
-            return STATE_DEGRADED
-        return STATE_HEALTHY
+        """Degradation state from the shard breakers (see
+        :meth:`repro.serve.residency.Residency.state`)."""
+        return self.residency.state(self)
 
     def quarantined_shards(self) -> list[int]:
         """Indices of shards whose breaker is currently open."""
-        with self._lock:
-            items = list(self._breakers.items())
-        return sorted(i for i, b in items if b.state == STATE_OPEN)
+        breakers = self.residency.breakers(self)
+        return sorted(i for i, b in breakers.items() if b.state == STATE_OPEN)
 
     def resilience_stats(self) -> dict:
-        """JSON-ready degradation counters for ``/stats``."""
-        with self._lock:
-            items = list(self._breakers.items())
+        """JSON-ready degradation counters."""
         return {
             "state": self.state,
-            "shard_retries": int(self.shard_retries),
-            "shard_failures": int(self.shard_failures),
-            "quarantined_shards": sorted(
-                i for i, b in items if b.state == STATE_OPEN
+            "shard_retries": self.shard_retries,
+            "shard_failures": self.shard_failures,
+            "quarantined_shards": self.quarantined_shards(),
+            "breaker_opens": sum(
+                b.opens for b in self.residency.breakers(self).values()
             ),
-            "breaker_opens": sum(b.opens for _i, b in items),
         }
-
-    def shard_breaker(self, i: int) -> CircuitBreaker:
-        """The (lazily created) circuit breaker guarding shard ``i``."""
-        with self._lock:
-            breaker = self._breakers.get(i)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
-                    reset_timeout=self._breaker_reset,
-                    name=f"{self._path}#shard{i}",
-                )
-                self._breakers[i] = breaker
-            return breaker
 
     def _map_file(self) -> memoryview:
         """The shared read-only view over the mapped container file."""
@@ -564,172 +476,69 @@ class LazyShardedMatrix(_ShardFanout):
         ``.base`` chain until nothing references it.
         """
         entry = self._manifest[i]
-        if self._mmap:
-            view = self._map_file()
-            section = view[entry.offset : entry.offset + entry.length]
-            check_deadline(f"shard {i} load of {self._path}")
-            from repro.io.mmap_io import loads_section_mmap
+        with span("shard.load", shard=i, mmap=self._mmap):
+            if self._mmap:
+                view = self._map_file()
+                section = view[entry.offset : entry.offset + entry.length]
+                check_deadline(f"shard {i} load of {self._path}")
+                from repro.io.mmap_io import loads_section_mmap
 
-            return loads_section_mmap(
-                section, source=f"{self._path}#shard{i}"
+                return loads_section_mmap(
+                    section, source=f"{self._path}#shard{i}"
+                )
+            with open(self._path, "rb") as fh:
+                fh.seek(entry.offset)
+                blob = fh.read(entry.length)
+            blob = _faults.on_read(
+                _faults.SITE_SHARD_LOAD, f"{self._path}#shard{i}", blob
             )
-        with open(self._path, "rb") as fh:
-            fh.seek(entry.offset)
-            blob = fh.read(entry.length)
-        blob = _faults.on_read(
-            _faults.SITE_SHARD_LOAD, f"{self._path}#shard{i}", blob
-        )
-        check_deadline(f"shard {i} load of {self._path}")
-        from repro.io.serialize import loads_matrix
+            check_deadline(f"shard {i} load of {self._path}")
+            from repro.io.serialize import loads_matrix
 
-        return loads_matrix(blob)
+            return loads_matrix(blob)
 
     def _shard(self, i: int):
-        """Shard ``i``, loading it when cold — one load in flight per shard.
+        """Shard ``i`` from the residency, loaded when cold.
 
-        A request that finds another request's load of the shard in
-        flight waits for it rather than reading the shard again; when
-        that load fails (or its request's deadline ends it), the first
-        waiter to wake loads the shard itself.
+        Load failures surface as
+        :class:`~repro.errors.ShardUnavailableError` carrying the shard
+        index and its breaker's ``retry_after``.
         """
-        while True:
-            with self._lock:
-                shard = self._loaded.get(i)
-                if shard is not None:
-                    self._tick += 1
-                    self._last_use[i] = self._tick
-                    # Warm path: no span — the request-level span
-                    # already covers it, and per-hit span churn would
-                    # show up in the obs_overhead gate.
-                    return shard
-                flight = self._inflight.get(i)
-                if flight is None:
-                    flight = self._inflight[i] = threading.Event()
-                    break
-            self._await_load(i, flight)
-        try:
-            return self._load_and_publish(i)
-        finally:
-            with self._lock:
-                del self._inflight[i]
-            flight.set()
 
-    def _await_load(self, i: int, flight: threading.Event) -> None:
-        """Wait for another request's load of shard ``i`` to end.
-
-        Bounded by the ambient deadline: raises
-        :class:`~repro.errors.DeadlineExceededError` once the waiting
-        request's own budget is spent, whatever the loader's is.
-        """
-        deadline = current_deadline()
-        with span("shard.wait", shard=i, on="load"):
-            if deadline is None:
-                flight.wait()
-                return
-            while not flight.wait(max(deadline.remaining(), 0.0)):
-                deadline.check(f"shard {i} load of {self._path}")
-
-    def _load_and_publish(self, i: int):
-        """Load shard ``i`` under its breaker and retries, then publish it."""
-        check_deadline(f"shard {i} load of {self._path}")
-        with span("shard.load", shard=i, mmap=self._mmap):
-            breaker = self.shard_breaker(i)
-            try:
-                breaker.allow()
-            except CircuitOpenError as exc:
-                raise ShardUnavailableError(
-                    f"shard {i} of {self._path} is quarantined: {exc}",
-                    shard=i,
-                    retry_after=exc.retry_after,
-                ) from exc
-
-            def _count_retry(attempt: int, exc: BaseException) -> None:
-                self._shard_retries.inc()
-                add_event(
-                    "load.retry",
-                    attempt=attempt,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-
-            try:
-                shard = self._retry.run(
-                    lambda: self._load_shard(i),
-                    retry_on=(OSError,),
-                    no_retry=(DeadlineExceededError,),
-                    on_retry=_count_retry,
-                    label=f"shard {i} load of {self._path}",
-                )
-            except DeadlineExceededError:
-                # The *request* ran out of budget — not the shard's fault;
-                # the breaker only counts failures of the shard itself.
-                raise
-            except (ReproError, OSError) as exc:
-                breaker.record_failure()
-                self._shard_failures.inc()
-                raise ShardUnavailableError(
-                    f"shard {i} of {self._path} failed to load: "
-                    f"{type(exc).__name__}: {exc}",
-                    shard=i,
-                    retry_after=breaker.retry_after(),
-                ) from exc
-            breaker.record_success()
+        def load():
+            shard = self._load_shard(i)
             if self._retain_plans:
                 shard.enable_plan_retention(True)
-            with self._lock:
-                # The LRU tick is set on publication, under the lock, so
-                # a whole-matrix eviction during the load cannot leave a
-                # loaded shard without one.
-                self._loaded[i] = shard
-                self._tick += 1
-                self._last_use[i] = self._tick
-                self._shard_loads.inc()
-                return shard
+            return shard
+
+        key = (self, i)
+        try:
+            # Warm path: no span — the request-level span already covers
+            # it, and per-hit span churn would show up in the
+            # obs_overhead gate.
+            return self.residency.get(key, load, f"shard {i} of {self._path}")
+        except CircuitOpenError as exc:
+            raise ShardUnavailableError(
+                f"shard {i} of {self._path} is quarantined: {exc}",
+                shard=i,
+                retry_after=exc.retry_after,
+            ) from exc
+        except DeadlineExceededError:
+            raise
+        except (ReproError, OSError) as exc:
+            breaker = self.residency.breakers(self).get(i)
+            raise ShardUnavailableError(
+                f"shard {i} of {self._path} failed to load: "
+                f"{type(exc).__name__}: {exc}",
+                shard=i,
+                retry_after=breaker.retry_after() if breaker else 0.0,
+            ) from exc
 
     def _all_shards(self) -> list:
         return [self._shard(i) for i in range(self.n_shards)]
 
     def _loaded_shards(self) -> list:
-        with self._lock:
-            return list(self._loaded.values())
-
-    def resident_shard_bytes(self) -> int:
-        """Summed resident estimate of the currently loaded shards."""
-        return sum(
-            int(s.size_bytes()) + int(s.resident_overhead_bytes())
-            for s in self._loaded_shards()
-        )
-
-    def enforce_shard_budget(self) -> int:
-        """Evict unpinned LRU shards until the loaded set fits the budget.
-
-        Returns the number of shards evicted.  With no budget this is
-        a no-op.  Every loaded shard may be evicted except those pinned
-        by a pass visiting them — a cold shard reloads on its next use,
-        so the matrix always stays servable, and the loaded set exceeds
-        the budget by at most one pinned shard per concurrent request.
-        """
-        if self._budget is None:
-            return 0
-        evicted = 0
-        with self._lock:
-            while self.resident_shard_bytes() > self._budget:
-                unpinned = [i for i in self._loaded if i not in self._pins]
-                if not unpinned:
-                    break
-                victim = min(unpinned, key=self._last_use.__getitem__)
-                shard = self._loaded.pop(victim)
-                shard.release_retained_plans()
-                self._shard_evictions.inc()
-                evicted += 1
-        return evicted
-
-    def evict_all_shards(self) -> None:
-        """Drop every loaded shard (registry whole-matrix eviction)."""
-        with self._lock:
-            for shard in self._loaded.values():
-                shard.release_retained_plans()
-            self._loaded.clear()
-            self._last_use.clear()
+        return [shard for shard, _charge in self.residency.loaded(self)]
 
     def _scan_start(self) -> int:
         """A new pass joins the scan at the most recently started shard."""
@@ -739,39 +548,14 @@ class LazyShardedMatrix(_ShardFanout):
     def _pin_shard(self, i: int) -> None:
         """Keep shard ``i`` resident while a pass visits it."""
         with self._lock:
-            self._pins[i] = self._pins.get(i, 0) + 1
             self._scan_head = i
+        self.residency.pin((self, i))
 
     def _after_shard(self, i: int) -> None:
-        """Release the visit's pin and stream cold shards out.
-
-        When other passes are still visiting shard ``i``, the pass
-        first waits (within its own deadline) for them to finish it, so
-        passes that share a shard move on together and share the next
-        load too.  Without the wait, the pass that does the loads keeps
-        the interpreter lock and runs ahead, and its budget checks evict
-        each next shard before the other pass reaches it.
-        """
-        with self._lock:
-            pins = self._pins.pop(i) - 1
-            if pins:
-                self._pins[i] = pins
-                self._await_visitors_locked(i)
-            else:
-                self._visit_ended.notify_all()
-        self.enforce_shard_budget()
-
-    def _await_visitors_locked(self, i: int) -> None:
-        """Wait until no other pass is visiting shard ``i`` (lock held)."""
-        deadline = current_deadline()
-        with span("shard.wait", shard=i, on="visit"):
-            while i in self._pins:
-                if deadline is None:
-                    self._visit_ended.wait()
-                elif deadline.remaining() <= 0:
-                    return  # never wait past the pass's own deadline
-                else:
-                    self._visit_ended.wait(deadline.remaining())
+        """Release the visit's pin, once the other passes visiting shard
+        ``i`` are done with it, and trim the residency to its budget."""
+        self.residency.unpin((self, i))
+        self.residency.trim()
 
     # -- budget hooks on the public kernel surface ------------------------------------
 
@@ -779,25 +563,25 @@ class LazyShardedMatrix(_ShardFanout):
         try:
             return super().right_multiply(x, executor=executor)
         finally:
-            self.enforce_shard_budget()
+            self.residency.trim()
 
     def left_multiply(self, y, executor=None) -> np.ndarray:
         try:
             return super().left_multiply(y, executor=executor)
         finally:
-            self.enforce_shard_budget()
+            self.residency.trim()
 
     def right_multiply_matrix(self, x_block, **kwargs) -> np.ndarray:
         try:
             return super().right_multiply_matrix(x_block, **kwargs)
         finally:
-            self.enforce_shard_budget()
+            self.residency.trim()
 
     def left_multiply_matrix(self, y_block, **kwargs) -> np.ndarray:
         try:
             return super().left_multiply_matrix(y_block, **kwargs)
         finally:
-            self.enforce_shard_budget()
+            self.residency.trim()
 
     # -- accounting -------------------------------------------------------------------
 
@@ -809,8 +593,8 @@ class LazyShardedMatrix(_ShardFanout):
         return {"shards": self.size_bytes()}
 
     def resident_footprint_bytes(self) -> int:
-        """Live bytes right now: only the loaded shard window counts."""
-        return self.resident_shard_bytes()
+        """Live bytes right now: the charges of the loaded shards."""
+        return sum(charge for _shard, charge in self.residency.loaded(self))
 
     def enable_plan_retention(self, retain: bool = True) -> bool:
         # The flag steers every future shard load, and loads happen on
@@ -821,7 +605,8 @@ class LazyShardedMatrix(_ShardFanout):
         return super().enable_plan_retention(retain)
 
     def release_retained_plans(self) -> None:
-        self.evict_all_shards()
+        """Evict every loaded shard and drop the shard breakers."""
+        self.residency.discard(self, breakers=True)
 
     def __repr__(self) -> str:
         return (

@@ -20,6 +20,7 @@ STRICT_MODULES = (
     "repro.formats.base",
     "repro.formats.registry",
     "repro.serve.registry",
+    "repro.serve.residency",
     "repro.serve.jobs",
     "repro.serve.stats",
     "repro.io.serialize",

@@ -126,7 +126,7 @@ class TestLazyShardMmap:
         save_matrix(build_sharded(dense, n_shards=3), path)
         lazy = LazyShardedMatrix(path, mmap=True)
         lazy.to_dense()
-        lazy.evict_all_shards()
+        lazy.release_retained_plans()
         assert lazy.resident_shards == 0
         assert np.allclose(lazy.to_dense(), dense)
         assert lazy.shard_loads == 6

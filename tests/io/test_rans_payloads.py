@@ -26,6 +26,7 @@ from repro.io.serialize import (
     saves_matrix,
 )
 from repro.resilience.integrity import strip_footer
+from repro.serve.residency import Residency
 from repro.shard import LazyShardedMatrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -82,7 +83,7 @@ class TestLegacyFixtures:
         dense = np.load(FIXTURES / "legacy_re_ans_sharded.npy")
         shards = load_matrix(path).shards
         one_shard = min(s.size_bytes() for s in shards)
-        lazy = LazyShardedMatrix(path, shard_byte_budget=one_shard, mmap=mmap)
+        lazy = LazyShardedMatrix(path, residency=Residency(one_shard), mmap=mmap)
         x = rng.standard_normal(dense.shape[1])
         y = rng.standard_normal(dense.shape[0])
         assert np.allclose(lazy.right_multiply(x), dense @ x)

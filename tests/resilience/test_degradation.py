@@ -12,6 +12,7 @@ from repro.io.serialize import save_matrix
 from repro.resilience.faults import FaultPlan, fault_injection
 from repro.resilience.policy import Deadline, RetryPolicy, deadline_scope
 from repro.serve.registry import MatrixRegistry
+from repro.serve.residency import Residency
 from repro.shard import LazyShardedMatrix, build_sharded
 from tests.conftest import make_structured
 
@@ -31,7 +32,7 @@ def container(rng, tmp_path):
 class TestShardRetries:
     def test_transient_failures_are_retried(self, container):
         path, dense = container
-        matrix = LazyShardedMatrix(path, retry_policy=fast_retry(3))
+        matrix = LazyShardedMatrix(path, residency=Residency(retry_policy=fast_retry(3)))
         plan = FaultPlan().fail(f"{path}#shard1", times=2)
         with fault_injection(plan):
             y = matrix.right_multiply(np.ones(dense.shape[1]))
@@ -42,7 +43,7 @@ class TestShardRetries:
 
     def test_exhausted_retries_raise_typed(self, container):
         path, _ = container
-        matrix = LazyShardedMatrix(path, retry_policy=fast_retry(2))
+        matrix = LazyShardedMatrix(path, residency=Residency(retry_policy=fast_retry(2)))
         plan = FaultPlan().fail(f"{path}#shard0", times=None)
         with fault_injection(plan):
             with pytest.raises(ShardUnavailableError) as excinfo:
@@ -57,9 +58,11 @@ class TestQuarantine:
         path, _ = container
         matrix = LazyShardedMatrix(
             path,
-            retry_policy=fast_retry(2),
-            breaker_threshold=2,
-            breaker_reset=0.15,
+            residency=Residency(
+                retry_policy=fast_retry(2),
+                breaker_threshold=2,
+                breaker_reset=0.15,
+            ),
         )
         x = np.ones(matrix.shape[1])
         plan = FaultPlan().corrupt_bytes(f"{path}#shard1", times=None)
@@ -91,9 +94,11 @@ class TestQuarantine:
         path, dense = container
         matrix = LazyShardedMatrix(
             path,
-            retry_policy=fast_retry(2),
-            breaker_threshold=1,
-            breaker_reset=0.1,
+            residency=Residency(
+                retry_policy=fast_retry(2),
+                breaker_threshold=1,
+                breaker_reset=0.1,
+            ),
         )
         x = np.ones(matrix.shape[1])
         with fault_injection(FaultPlan().corrupt_bytes(f"{path}#shard2")):
@@ -111,7 +116,7 @@ class TestQuarantine:
 class TestDeadlines:
     def test_slow_shard_load_expires_without_tripping_breaker(self, container):
         path, _ = container
-        matrix = LazyShardedMatrix(path, retry_policy=fast_retry(2))
+        matrix = LazyShardedMatrix(path, residency=Residency(retry_policy=fast_retry(2)))
         plan = FaultPlan().slow_load(f"{path}#shard0", seconds=0.2)
         with fault_injection(plan):
             with deadline_scope(Deadline.after(0.05)):

@@ -159,6 +159,41 @@ class TestConcurrentSharedScans:
         assert stats["resident_shards"] == 0
 
 
+class TestColdLoadWaiter:
+    def test_request_behind_a_cold_load_answers_504_at_its_deadline(self, store):
+        """A second client's request for a matrix another request is
+        still loading answers 504 at its own deadline."""
+        import threading
+
+        root, matrices = store
+        registry = MatrixRegistry(root=root)
+        server = MatrixServer(
+            registry, port=0, job_workers=1, request_deadline_ms=100
+        )
+        n_cols = matrices["alpha"].shape[1]
+        first: list = []
+        plan = FaultPlan().slow_load(f"{root}/alpha.gcmx", seconds=1.5, times=1)
+        with server.start(), fault_injection(plan):
+            loader = threading.Thread(
+                target=lambda: first.append(multiply(server, "alpha", n_cols))
+            )
+            loader.start()
+            end = time.monotonic() + 10
+            while not plan.events:  # until the first request is loading
+                assert time.monotonic() < end, "the slowed load never started"
+                time.sleep(0.001)
+            started = time.monotonic()
+            status, body, headers = multiply(server, "alpha", n_cols)
+            elapsed = time.monotonic() - started
+            loader.join(30)
+        assert not loader.is_alive()
+        assert status == 504, (status, body)
+        assert "deadline" in body["error"].lower()
+        assert int(headers["Retry-After"]) >= 1
+        assert elapsed < 0.75
+        assert first[0][0] in (200, 504)
+
+
 class TestBreakerObservability:
     def test_quarantine_visible_then_recovers(self, chaos):
         server, root, matrices = chaos

@@ -104,6 +104,32 @@ class TestRegistryPlanRetention:
         assert registry.evict("solo")
         assert key not in plan_cache()
 
+    def test_reregistration_releases_retained_plans(self, tmp_path, rng):
+        """Re-registering a resident name drops its matrix, and with it
+        the plans the budget charged: none stays in the shared cache."""
+        from repro.core.gcm import plan_cache
+
+        dense = make_structured(rng, n=60, m=10)
+        save_matrix(
+            GrammarCompressedMatrix.compress(dense, variant="re_iv"),
+            tmp_path / "solo.gcmx",
+        )
+        replacement = tmp_path / "next" / "solo.gcmx"
+        replacement.parent.mkdir()
+        save_matrix(
+            GrammarCompressedMatrix.compress(2.0 * dense, variant="re_32"),
+            replacement,
+        )
+        registry = MatrixRegistry(root=tmp_path)
+        matrix = registry.get("solo")
+        plan_cache().discard(matrix.grammar_fingerprint())
+        start = plan_cache().stats()["plans"]
+        matrix.right_multiply(np.ones(dense.shape[1]))  # builds + caches
+        assert plan_cache().stats()["plans"] == start + 1
+        registry.register("solo", replacement)
+        assert plan_cache().stats()["plans"] == start
+        assert registry.resident_bytes == 0
+
     def test_blocked_store_retains_per_block(self, tmp_path, rng):
         dense = make_structured(rng, n=48, m=9)
         save_matrix(

@@ -164,6 +164,40 @@ class TestLazyLoadAndLru:
         assert registry.stats()["loads"] == 2
 
 
+class TestColdLoadWaiter:
+    def test_waiter_gives_up_at_its_own_deadline(self, store):
+        """A request waiting for another request's cold load of a matrix
+        answers at its own deadline, not when that load ends."""
+        import threading
+        import time
+
+        from repro.errors import DeadlineExceededError
+        from repro.resilience.faults import FaultPlan, fault_injection
+        from repro.resilience.policy import Deadline, deadline_scope
+
+        root, matrices = store
+        registry = MatrixRegistry(root=root)
+        loaded: list = []
+        loader = threading.Thread(target=lambda: loaded.append(registry.get("alpha")))
+        plan = FaultPlan().slow_load(str(root / "alpha.gcmx"), seconds=1.5, times=1)
+        with fault_injection(plan):
+            loader.start()
+            end = time.monotonic() + 10
+            while not plan.events:  # until the loader is reading alpha
+                assert time.monotonic() < end, "the slowed load never started"
+                time.sleep(0.001)
+            started = time.monotonic()
+            with deadline_scope(Deadline.after(0.1)):
+                with pytest.raises(DeadlineExceededError):
+                    registry.get("alpha")
+            waited = time.monotonic() - started
+            loader.join(30)
+        assert not loader.is_alive()
+        assert waited < 0.75
+        assert np.array_equal(loaded[0].to_dense(), matrices["alpha"])
+        assert registry.stats()["loads"] == 1
+
+
 def _representations(dense):
     yield "csrv", CSRVMatrix.from_dense(dense)
     for variant in VARIANTS:

@@ -6,6 +6,7 @@ import pytest
 from repro.io.serialize import read_shard_manifest, save_matrix
 from repro.serve.executor import BlockExecutor
 from repro.serve.registry import MatrixRegistry
+from repro.serve.residency import Residency
 from repro.shard import LazyShardedMatrix, build_sharded
 from tests.shard.test_plan import mixed_matrix
 
@@ -96,12 +97,12 @@ class TestShardEviction:
         per_shard = [s.size_bytes() + s.resident_overhead_bytes()
                      for s in sm.shards]
         budget = max(per_shard) + min(per_shard)
-        lazy = LazyShardedMatrix(path, shard_byte_budget=budget)
+        lazy = LazyShardedMatrix(path, residency=Residency(budget))
         x = rng.standard_normal(dense.shape[1])
         assert np.allclose(lazy @ x, dense @ x)
         assert lazy.shard_evictions >= 1
         assert 0 < lazy.resident_shards < 3
-        assert lazy.resident_shard_bytes() <= budget
+        assert lazy.resident_footprint_bytes() <= budget
         # still servable: cold shards stream back in
         assert np.allclose(lazy @ x, dense @ x)
         assert lazy.shard_loads > 3
@@ -114,13 +115,13 @@ class TestShardEviction:
         per_shard = [s.size_bytes() + s.resident_overhead_bytes()
                      for s in sm.shards]
         budget = min(per_shard)  # almost nothing may stay loaded
-        lazy = LazyShardedMatrix(path, shard_byte_budget=budget)
+        lazy = LazyShardedMatrix(path, residency=Residency(budget))
         peak = 0
         original = lazy._after_shard
 
         def tracking_after_shard(i):
             nonlocal peak
-            peak = max(peak, lazy.resident_shard_bytes())
+            peak = max(peak, lazy.resident_footprint_bytes())
             original(i)
 
         lazy._after_shard = tracking_after_shard
@@ -133,7 +134,7 @@ class TestShardEviction:
 
     def test_lru_keeps_recently_used(self, container, dense, rng):
         path, sm = container
-        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        lazy = LazyShardedMatrix(path, residency=Residency(1))
         x = rng.standard_normal(dense.shape[1])
         assert np.allclose(lazy @ x, dense @ x)
         # budget of 1 byte: everything evicted, matrix still answers
@@ -144,7 +145,7 @@ class TestShardEviction:
         path, _ = container
         lazy = LazyShardedMatrix(path)
         lazy @ rng.standard_normal(dense.shape[1])
-        lazy.evict_all_shards()
+        lazy.release_retained_plans()
         assert lazy.resident_shards == 0
 
 
@@ -178,7 +179,7 @@ class TestRegistryServing:
         budget = max(per_shard) + min(per_shard)
         registry = MatrixRegistry(root=path.parent, byte_budget=budget)
         matrix = registry.get("m")
-        assert matrix.shard_byte_budget == budget
+        assert matrix.residency is registry.residency
         x = rng.standard_normal(dense.shape[1])
         assert np.allclose(matrix @ x, dense @ x)
         # shards were evicted, the matrix itself stays registered+resident
@@ -218,11 +219,36 @@ class TestRegistryServing:
             for name in ("a", "b"):
                 # an executor loads all shards at once (no in-request streaming)
                 registry.get(name).right_multiply(x, executor=ex)
-        assert registry.resident_bytes > budget  # grown past the check
-        evicted = registry.enforce_budget(keep="b")
-        assert evicted >= 1
-        assert registry.resident_bytes <= budget
+        assert registry.resident_bytes <= budget  # each pass ends trimmed
+        assert registry.enforce_budget(keep="b") == 0
         assert registry.describe("b")["resident"] is True
+
+    def test_two_lazy_matrices_share_one_budget(self, tmp_path, rng):
+        """The shards of two lazy matrices compete in one LRU: serving
+        them in turn trims shards and never evicts a whole matrix."""
+        from repro.datasets import get_dataset
+
+        dense, charges = {}, []
+        for name in ("mnist2m", "census"):
+            dense[name] = get_dataset(name, n_rows=400).matrix
+            sm = build_sharded(
+                dense[name], n_shards=4, format="re_ans", strategy="batch"
+            )
+            save_matrix(sm, tmp_path / f"{name}.gcmx")
+            for s in sm.shards:
+                s.enable_plan_retention(True)
+                charges.append(s.size_bytes() + s.resident_overhead_bytes())
+        budget = 3 * max(charges)
+        registry = MatrixRegistry(root=tmp_path, byte_budget=budget)
+        for r in range(10):
+            name = ("mnist2m", "census")[r % 2]
+            x = rng.standard_normal(dense[name].shape[1])
+            assert np.allclose(registry.get(name) @ x, dense[name] @ x)
+            registry.enforce_budget(keep=name)
+            assert registry.resident_bytes <= budget
+        stats = registry.stats()
+        assert stats["evictions"] == 0
+        assert stats["loads"] == 2
 
     def test_shard_counters_survive_whole_eviction(
         self, container, dense, rng
@@ -313,7 +339,7 @@ class TestPanelPasses:
     @pytest.mark.parametrize("k", [64, 65, 130])
     def test_lazy_loads_each_shard_once_per_call(self, mnist_re_ans, op, k, rng):
         path, dense = mnist_re_ans
-        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        lazy = LazyShardedMatrix(path, residency=Residency(1))
         got, want = _panel_op(lazy, op, k, dense, rng)
         assert np.allclose(got, want)
         assert lazy.shard_loads == 4
@@ -355,12 +381,12 @@ class TestEvictionDuringLoad:
         dense = get_dataset("census", n_rows=300).matrix
         path = tmp_path / "census.gcmx"
         save_matrix(build_sharded(dense, n_shards=3), path)
-        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        lazy = LazyShardedMatrix(path, residency=Residency(1))
         original = lazy._load_shard
 
         def evicting_load(i):
             shard = original(i)
-            lazy.evict_all_shards()  # what the registry's evict() calls
+            lazy.release_retained_plans()  # what the registry's evict() calls
             return shard
 
         lazy._load_shard = evicting_load
@@ -454,7 +480,7 @@ class TestSharedScan:
 
         path, _ = container
         x = rng.standard_normal(dense.shape[1])
-        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        lazy = LazyShardedMatrix(path, residency=Residency(1))
         answers: list = []
         loader = threading.Thread(target=lambda: answers.append(lazy @ x))
 
@@ -470,7 +496,7 @@ class TestSharedScan:
         assert np.allclose(answers[0], dense @ x)
         assert lazy.shard_loads == lazy.n_shards  # the waiter loaded nothing
         # The waiter's pin went with it: everything streamed back out.
-        assert lazy.resident_shard_bytes() <= 1
+        assert lazy.resident_footprint_bytes() <= 1
 
     def test_failed_load_is_taken_over_by_the_waiter(
         self, container, dense, rng
@@ -519,7 +545,7 @@ class TestSharedScan:
         from repro.resilience.faults import FaultPlan, fault_injection
 
         path, _ = container
-        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        lazy = LazyShardedMatrix(path, residency=Residency(1))
         load = lazy._load_shard
 
         def load_with_slow_left(i):
@@ -561,7 +587,7 @@ class TestSharedScan:
         per_shard = [s.size_bytes() + s.resident_overhead_bytes()
                      for s in sm.shards]
         budget = max(per_shard)  # room for one shard
-        lazy = LazyShardedMatrix(path, shard_byte_budget=budget)
+        lazy = LazyShardedMatrix(path, residency=Residency(budget))
         lazy._pin_shard(0)  # one pass is visiting shard 0 ...
         lazy._shard(0)
         for i in (1, 2):  # ... while another visits the rest
@@ -573,7 +599,7 @@ class TestSharedScan:
         assert lazy.shard_loads == loads, "the pinned shard was evicted"
         assert lazy.resident_shards == 1
         lazy._after_shard(0)  # the visit ends: its pin is released
-        assert lazy.resident_shard_bytes() <= budget
+        assert lazy.resident_footprint_bytes() <= budget
 
     def test_concurrent_first_multiplies_build_one_plan(self, rng, monkeypatch):
         import time
@@ -613,7 +639,7 @@ class TestSharedScan:
         import sys
 
         path, _ = container
-        lazy = LazyShardedMatrix(path, shard_byte_budget=1)
+        lazy = LazyShardedMatrix(path, residency=Residency(1))
         x = rng.standard_normal(dense.shape[1])
         y = rng.standard_normal(dense.shape[0])
         want_right = _single_pass(path, "right", x)
@@ -638,5 +664,48 @@ class TestSharedScan:
         finally:
             sys.setswitchinterval(interval)
         assert results == [True] * 6
-        assert lazy._pins == {} and lazy._inflight == {}
-        assert lazy.resident_shard_bytes() <= 1
+        assert lazy.residency._pins == {} and lazy.residency._inflight == {}
+        assert lazy.resident_footprint_bytes() <= 1
+
+    def test_stress_matrices_sharing_one_residency(self, dense, tmp_path, rng):
+        """Passes over two lazy matrices and one whole matrix of one
+        registry under a one-byte budget, more clients than cores and
+        frequent thread switches: every answer is right, the byte total
+        matches the loaded units, and no lazy matrix is evicted whole."""
+        import sys
+
+        import repro
+
+        for name in ("a", "b"):
+            save_matrix(build_sharded(dense, n_shards=3), tmp_path / f"{name}.gcmx")
+        save_matrix(repro.compress(dense, format="csrv"), tmp_path / "whole.gcmx")
+        registry = MatrixRegistry(root=tmp_path, byte_budget=1)
+        names = ("a", "b", "whole")
+        x = rng.standard_normal(dense.shape[1])
+        want = dense @ x
+
+        def client(j):
+            def run():
+                ok = True
+                for r in range(6):
+                    name = names[(j + r) % 3]
+                    ok &= np.allclose(registry.get(name) @ x, want)
+                    registry.enforce_budget(keep=name)
+                return ok
+
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _run_threads([client(j) for j in range(6)], timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 6
+        residency = registry.residency
+        assert residency._pins == {} and residency._inflight == {}
+        charges = [charge for _unit, charge in residency._units.values()]
+        assert registry.resident_bytes == sum(charges)
+        assert registry.describe("a")["resident"] and registry.describe("b")["resident"]
+        registry.enforce_budget()
+        assert registry.resident_bytes == 0

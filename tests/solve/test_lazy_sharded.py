@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.io.serialize import save_matrix
+from repro.serve.residency import Residency
 from repro.shard.matrix import LazyShardedMatrix
 from tests.solve.test_conformance import (
     ATOL,
@@ -37,7 +38,7 @@ def lazy(dense, shard_file):
     """A lazy container whose budget fits roughly one shard."""
     eager = repro.compress(dense, format="sharded", n_shards=4)
     budget = max(s.size_bytes() for s in eager.shards) + 64
-    matrix = LazyShardedMatrix(shard_file, shard_byte_budget=budget)
+    matrix = LazyShardedMatrix(shard_file, residency=Residency(budget))
     assert matrix.n_shards == 4
     return matrix
 
@@ -55,7 +56,7 @@ class TestLazyShardedSolves:
         # never exceeded the (one-shard) budget.
         assert lazy.shard_evictions > 0
         assert lazy.resident_shards < lazy.n_shards
-        assert lazy.resident_shard_bytes() <= lazy.shard_byte_budget
+        assert lazy.resident_footprint_bytes() <= lazy.residency.byte_budget
 
     def test_cg_matches_dense_solve(self, lazy, dense):
         n = dense.shape[0]
