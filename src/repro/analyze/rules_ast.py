@@ -757,13 +757,13 @@ def check_counter_discipline(source) -> list[Finding]:
     /metrics``, racy unless the class happens to lock around it, and a
     second bookkeeping scheme next to the
     :class:`repro.obs.metrics.MetricsRegistry` every other counter
-    feeds.  Use a :class:`~repro.obs.metrics.Counter` (exposed through
-    a read-only ``int`` property when the old attribute name is public
-    API).  Underscore-prefixed attributes are exempt — private
-    accumulators a registry-level collector aggregates are a
-    documented pattern — as is :mod:`repro.obs` itself, whose
-    instruments are the primitives.  Waive deliberate
-    exceptions with ``# ra: obs — <reason>``.
+    feeds.  Count on a counter family of the component's registry, and
+    have ``stats()`` read that family back for ``/stats``.
+    Underscore-prefixed attributes are exempt — private state such as
+    a breaker's consecutive-failure streak is not a count anyone
+    reports — as is :mod:`repro.obs` itself, whose instruments are the
+    primitives.  Waive deliberate exceptions with
+    ``# ra: obs — <reason>``.
     """
     tag = RULE_WAIVER_TAGS["RA09"]
     rel_posix = source.rel.replace("\\", "/")
@@ -799,9 +799,9 @@ def check_counter_discipline(source) -> list[Finding]:
                 detail=attr,
                 message=(
                     f"counter-style increment of self.{attr} outside "
-                    "repro.obs; use a repro.obs.metrics.Counter (keep the "
-                    "public name as a read-only property) so /metrics "
-                    "sees it, or waive with `# ra: obs — <reason>`"
+                    "repro.obs; count it on a MetricsRegistry counter "
+                    "family and read that back in stats(), so /stats and "
+                    "/metrics share it, or waive with `# ra: obs — <reason>`"
                 ),
             )
         )

@@ -9,19 +9,21 @@ workers, and the watchdog can hit the same child concurrently.
 
 Two usage modes coexist:
 
-- **direct instruments** — code paths increment a child they hold a
-  reference to (``self._c_loads.inc()``); these are the migrated
-  ad-hoc counters.
+- **direct instruments** — every counter but the plan cache's: the
+  code path where the event happens increments a child it holds
+  (``self._c_hits.inc()``), and ``/stats`` reads the same child back,
+  so a count never drops when the object that caused it goes.
 - **collectors** — callables registered with
   :meth:`MetricsRegistry.register_collector` that run at scrape time
-  and push values into collector-fed instruments
-  (:meth:`Counter.set_total`, :meth:`Gauge.set`).  Used for figures
-  that are aggregates of live objects (resident bytes, breaker opens,
-  plan-cache hits) where an increment-at-the-seam would double-count.
+  and push values into collector-fed instruments (:meth:`Gauge.set`,
+  :meth:`Counter.set_total`).  Used for gauges over live objects
+  (resident bytes, quarantined entries) and for the counters of the
+  process-wide plan cache, which no registry owns.
 
-Instruments constructed bare (``Counter()``) work without a registry —
-an internal component (a per-matrix stats record) keeps private
-counters that a registry-level collector aggregates.
+Components built without a registry (a standalone
+:class:`~repro.serve.jobs.JobManager`, :class:`~repro.serve.stats.ServeStats`
+or :class:`~repro.serve.residency.Residency`) register their families
+on a private :class:`MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ class Counter:
     def set_total(self, value: float) -> None:
         """Overwrite the running total (collector-fed counters only).
 
-        Collectors recompute an aggregate from live objects at scrape
-        time; the result is still monotonic *as observed* because the
-        sources themselves only grow.
+        A collector copies a total kept elsewhere (the plan cache's
+        hits and misses) at scrape time.  The result is monotonic only
+        if that source never shrinks, so never sum over live objects
+        that can go away: count at the seam instead.
         """
         with self._lock:
             self._value = float(value)

@@ -38,7 +38,7 @@ import hashlib
 import threading
 import time
 from collections.abc import Callable, Iterator
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from repro.errors import CircuitOpenError, DeadlineExceededError, ReproError
 
@@ -317,9 +317,6 @@ class CircuitBreaker:
         self._failures = 0        # consecutive failures while closed
         self._opened_at = 0.0
         self._probes = 0          # in-flight half-open probes
-        self.opens = 0            # times the breaker tripped open
-        self.total_failures = 0
-        self.total_successes = 0
 
     # -- state ------------------------------------------------------------------
 
@@ -379,15 +376,20 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         with self._lock:
-            self.total_successes += 1  # ra: obs — per-instance tally; the registry collector aggregates breakers into repro_breaker_opens_total
             self._failures = 0
             if self._state == STATE_HALF_OPEN:
                 self._state = STATE_CLOSED
                 self._probes = 0
 
-    def record_failure(self) -> None:
+    def record_failure(self) -> bool:
+        """Count one failure; ``True`` when this call trips the breaker open.
+
+        That happens at ``failure_threshold`` consecutive failures while
+        closed, or on a failed half-open probe.  The caller counts the
+        trip (the serving residency feeds ``repro_breaker_opens_total``),
+        so the count outlives the breaker.
+        """
         with self._lock:
-            self.total_failures += 1  # ra: obs — per-instance tally feeding stats(); aggregated at scrape time, not at this seam
             self._failures += 1
             if self._state == STATE_HALF_OPEN or (
                 self._state == STATE_CLOSED
@@ -396,7 +398,8 @@ class CircuitBreaker:
                 self._state = STATE_OPEN
                 self._opened_at = self._clock()
                 self._probes = 0
-                self.opens += 1  # ra: obs — per-instance tally; registry sums opens across entry and shard breakers each scrape
+                return True
+            return False
 
     def reset(self) -> None:
         """Force-close (admin/testing hook)."""
@@ -404,18 +407,6 @@ class CircuitBreaker:
             self._state = STATE_CLOSED
             self._failures = 0
             self._probes = 0
-
-    def describe(self) -> dict[str, Any]:
-        """JSON-ready snapshot for ``/stats`` and ``describe()``."""
-        with self._lock:
-            self._tick_locked()
-            return {
-                "state": self._state,
-                "consecutive_failures": self._failures,
-                "opens": self.opens,
-                "total_failures": self.total_failures,
-                "total_successes": self.total_successes,
-            }
 
     def __repr__(self) -> str:
         return f"CircuitBreaker(name={self.name!r}, state={self.state!r})"

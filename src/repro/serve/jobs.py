@@ -197,32 +197,6 @@ class JobManager:
             buckets=(0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0),
         )
 
-    # -- legacy counter attributes (the /stats vocabulary) -------------------------
-
-    @property
-    def submitted(self) -> int:
-        return int(self._c_submitted.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._c_completed.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._c_failed.value)
-
-    @property
-    def workers_restarted(self) -> int:
-        return int(self._c_restarted.value)
-
-    @property
-    def jobs_orphaned(self) -> int:
-        return int(self._c_orphaned.value)
-
-    @property
-    def leaked_workers(self) -> int:
-        return int(self._c_leaked.value)
-
     # -- lifecycle ---------------------------------------------------------------
 
     def _spawn_worker_locked(self) -> None:
@@ -500,13 +474,13 @@ class JobManager:
                 by_state[job.status] += 1
             return {
                 "workers": self.workers,
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
+                "submitted": int(self._c_submitted.value),
+                "completed": int(self._c_completed.value),
+                "failed": int(self._c_failed.value),
                 "queued": by_state["queued"],
                 "running": by_state["running"],
                 "retained": len(self._jobs),
-                "workers_restarted": self.workers_restarted,
-                "jobs_orphaned": self.jobs_orphaned,
-                "leaked_workers": self.leaked_workers,
+                "workers_restarted": int(self._c_restarted.value),
+                "jobs_orphaned": int(self._c_orphaned.value),
+                "leaked_workers": int(self._c_leaked.value),
             }

@@ -161,43 +161,9 @@ class MatrixRegistry:
         if store is not None:
             self.register_store(store)
 
-    # -- legacy counter attributes (the /stats vocabulary) -------------------------
-
-    @property
-    def hits(self) -> int:
-        return int(self._c_hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._c_misses.value)
-
-    @property
-    def loads(self) -> int:
-        return int(self.residency.matrix_counts.loads.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self.residency.matrix_counts.evictions.value)
-
-    @property
-    def load_retries(self) -> int:
-        return int(self.residency.matrix_counts.retries.value)
-
-    @property
-    def load_failures(self) -> int:
-        return int(self.residency.matrix_counts.failures.value)
-
-    @property
-    def header_reads(self) -> int:
-        return int(self._c_header_reads.value)
-
-    @property
-    def catalog_registrations(self) -> int:
-        return int(self._c_catalog_registrations.value)
-
     def _collect_metrics(self) -> None:
-        """Scrape-time collector: residency gauges, breaker opens, and
-        the global plan cache's counters."""
+        """Scrape-time collector: residency gauges, and the counters of
+        the process-wide plan cache, which no registry owns."""
         stats = self.stats()
         m = self.metrics
         m.gauge(
@@ -222,10 +188,6 @@ class MatrixRegistry:
             "repro_registry_degraded",
             "Entries with recent failures or open shard breakers.",
         ).set(stats["degraded"])
-        m.counter(
-            "repro_breaker_opens_total",
-            "Circuit breaker open transitions across entries and shards.",
-        ).set_total(stats["breaker_opens"])
         from repro.core.gcm import plan_cache
 
         plans = plan_cache().stats()
@@ -501,7 +463,8 @@ class MatrixRegistry:
         return self.residency.resident_bytes
 
     def stats(self) -> dict[str, Any]:
-        """Counters for ``/stats``: hits, misses, loads, evictions, residency."""
+        """Counters for ``/stats``: the residency's (:meth:`Residency.stats`),
+        lookups, registrations, and the entries' health."""
         residency = self.residency
         with self._lock:
             names = list(self._entries)
@@ -511,31 +474,17 @@ class MatrixRegistry:
             state = residency.state(name, residency.peek((name, None)))
             quarantined += state == "quarantined"
             degraded += state == "degraded"
-        resident, resident_shards = residency.census()
-        shards = residency.shard_counts
         return {
             "matrices": len(names),
-            "resident": resident,
-            "resident_bytes": residency.resident_bytes,
-            "byte_budget": residency.byte_budget,
             "retain_plans": self._retain_plans,
             "lazy_shards": self._lazy_shards,
-            "resident_shards": resident_shards,
-            "shard_loads": int(shards.loads.value),
-            "shard_evictions": int(shards.evictions.value),
-            "shard_retries": int(shards.retries.value),
-            "shard_failures": int(shards.failures.value),
-            "hits": self.hits,
-            "misses": self.misses,
-            "loads": self.loads,
-            "evictions": self.evictions,
-            "load_retries": self.load_retries,
-            "load_failures": self.load_failures,
-            "header_reads": self.header_reads,
-            "catalog_registrations": self.catalog_registrations,
+            "hits": int(self._c_hits.value),
+            "misses": int(self._c_misses.value),
+            "header_reads": int(self._c_header_reads.value),
+            "catalog_registrations": int(self._c_catalog_registrations.value),
             "mmap": self._mmap,
             "store": store is not None,
-            "breaker_opens": residency.breaker_opens(),
             "quarantined": quarantined,
             "degraded": degraded,
+            **residency.stats(),
         }

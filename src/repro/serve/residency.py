@@ -29,8 +29,11 @@ under one optional byte budget:
   which keeps overlapping passes in lockstep.
 - **counters** — loads, evictions, retries and failures of whole
   matrices (``repro_registry_*_total``) and of shards
-  (``repro_shard_*_total``), registered once on a
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+  (``repro_shard_*_total``), and breaker trips
+  (``repro_breaker_opens_total``), registered once on a
+  :class:`~repro.obs.metrics.MetricsRegistry` and read back by
+  :meth:`Residency.stats`.  Each is incremented where its event
+  happens, so no count drops when a unit or its breaker goes.
 
 :class:`~repro.serve.registry.MatrixRegistry` owns one residency and
 lends it to every lazy matrix it builds; a standalone lazy matrix gets
@@ -149,6 +152,10 @@ class Residency:
                 ("failures", "Shard loads that exhausted retries."),
             )
         ))
+        self.breaker_opens = m.counter(
+            "repro_breaker_opens_total",
+            "Circuit breaker open transitions across entries and shards.",
+        )
 
     def _counts(self, key: Key) -> UnitCounters:
         return self.matrix_counts if key[1] is None else self.shard_counts
@@ -243,7 +250,8 @@ class Residency:
             # the unit: the breaker counts only the unit's own failures.
             raise
         except (ReproError, OSError):
-            breaker.record_failure()
+            if breaker.record_failure():
+                self.breaker_opens.inc()
             counts.failures.inc()
             raise
         breaker.record_success()
@@ -357,22 +365,34 @@ class Residency:
         with self._lock:
             return [unit for (o, _i), unit in self._units.items() if o == owner]
 
-    def census(self) -> tuple[int, int]:
-        """How many whole matrices and how many shards are loaded."""
+    def stats(self) -> dict[str, Any]:
+        """The residency's ``/stats`` keys: what is loaded, the budget,
+        and the counters of whole matrices, shards and breakers."""
         with self._lock:
             matrices = sum(index is None for _o, index in self._units)
-            return matrices, len(self._units) - matrices
+            shards = len(self._units) - matrices
+            total = self._total
+        m, s = self.matrix_counts, self.shard_counts
+        return {
+            "resident": matrices,
+            "resident_shards": shards,
+            "resident_bytes": total,
+            "byte_budget": self._budget,
+            "loads": int(m.loads.value),
+            "evictions": int(m.evictions.value),
+            "load_retries": int(m.retries.value),
+            "load_failures": int(m.failures.value),
+            "shard_loads": int(s.loads.value),
+            "shard_evictions": int(s.evictions.value),
+            "shard_retries": int(s.retries.value),
+            "shard_failures": int(s.failures.value),
+            "breaker_opens": int(self.breaker_opens.value),
+        }
 
     def breakers(self, owner: Hashable) -> dict[int | None, CircuitBreaker]:
         """``owner``'s breakers by unit index (created by its first load)."""
         with self._lock:
             return {i: b for (o, i), b in self._breakers.items() if o == owner}
-
-    def breaker_opens(self) -> int:
-        """Open transitions summed over every live breaker."""
-        with self._lock:
-            breakers = list(self._breakers.values())
-        return sum(b.opens for b in breakers)
 
     def state(self, *owners: Hashable) -> str:
         """``healthy`` / ``degraded`` / ``quarantined`` over the owners' units.

@@ -95,7 +95,6 @@ from repro.errors import (
 )
 from repro.obs.export import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.obs.export import render_prometheus
-from repro.obs.metrics import Counter
 from repro.obs.trace import Trace, TraceStore, span, trace_scope
 from repro.resilience.policy import Deadline, deadline_scope
 from repro.serve.batch import batch_left_multiply, batch_right_multiply
@@ -202,7 +201,10 @@ class MatrixServer:
         self.panel_width = int(panel_width)
         self.request_deadline_ms = request_deadline_ms
         self.join_timeout = float(join_timeout)
-        self._c_leaked_threads = Counter()
+        self._c_leaked_threads = self.metrics.counter(
+            "repro_server_leaked_threads_total",
+            "Serve threads that failed to join within the shutdown timeout.",
+        )
         sink = (
             open(trace_log, "a", encoding="utf-8")
             if trace_log is not None
@@ -236,10 +238,6 @@ class MatrixServer:
         self._httpd.app = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 
-    @property
-    def leaked_threads(self) -> int:
-        return int(self._c_leaked_threads.value)
-
     # -- lifecycle ---------------------------------------------------------------
 
     @property
@@ -272,7 +270,8 @@ class MatrixServer:
 
         A serve thread that fails to join within ``join_timeout`` (a
         request wedged past shutdown) is counted in
-        :attr:`leaked_threads` and logged instead of silently leaking.
+        ``repro_server_leaked_threads_total`` (``leaked_threads`` in
+        ``/stats``) and logged instead of silently leaking.
         """
         self._httpd.shutdown()
         self._httpd.server_close()
@@ -315,7 +314,7 @@ class MatrixServer:
             "jobs": self.jobs.stats(),
             "workers": self.executor.workers if self.executor else 1,
             "request_deadline_ms": self.request_deadline_ms,
-            "leaked_threads": self.leaked_threads,
+            "leaked_threads": int(self._c_leaked_threads.value),
             "store": self.registry.store_info(),
         }
 

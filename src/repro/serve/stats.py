@@ -14,21 +14,22 @@ and :class:`LatencyWindow` carries its *own* lock because it is also
 used outside ``ServeStats`` — :class:`repro.solve.driver.SolveTrace`
 records into one from job worker threads directly.
 
-Counters live on :mod:`repro.obs.metrics` instruments; when the server
-hands :class:`ServeStats` a shared
-:class:`~repro.obs.metrics.MetricsRegistry`, every request also feeds
-the labeled ``repro_serve_*`` families ``GET /metrics`` exposes.  The
-``/stats`` JSON shape is unchanged either way.
+The request and error counts are the ``repro_serve_requests_total`` /
+``repro_serve_errors_total`` children of a
+:class:`~repro.obs.metrics.MetricsRegistry` (the server's shared one,
+so ``GET /metrics`` exposes them), and ``/stats`` reads them back: the
+two endpoints cannot disagree.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Any
 
 import numpy as np
 
 from repro.errors import MatrixFormatError
-from repro.obs.metrics import Counter, Family, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 #: Default ring capacity — enough for stable p99 estimates while
 #: keeping the per-matrix footprint at a few KiB.
@@ -99,95 +100,67 @@ class LatencyWindow:
         return out
 
 
-class MatrixStats:
-    """Counters for one served matrix."""
-
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
-        self._requests = Counter()
-        self._errors = Counter()
-        self.latency = LatencyWindow(window)
-
-    @property
-    def requests(self) -> int:
-        return int(self._requests.value)
-
-    @property
-    def errors(self) -> int:
-        return int(self._errors.value)
-
-    def record(self, seconds: float | None, error: bool = False) -> None:
-        self._requests.inc()
-        if error:
-            self._errors.inc()
-        elif seconds is not None:
-            self.latency.record(seconds)
-
-    def snapshot(self) -> dict[str, float]:
-        out: dict[str, float] = {
-            "requests": self.requests,
-            "errors": self.errors,
-        }
-        out.update(self.latency.snapshot())
-        return out
-
-
 class ServeStats:
     """Thread-safe per-matrix statistics for the serving engine.
 
-    ``metrics`` (optional) is the server's shared
-    :class:`~repro.obs.metrics.MetricsRegistry`; when given, every
-    recorded request also feeds the per-matrix
-    ``repro_serve_requests_total`` / ``repro_serve_errors_total``
-    counters and the ``repro_serve_request_seconds`` histogram.
+    Each recorded request counts in its matrix's
+    ``repro_serve_requests_total`` child (and, when it failed, in
+    ``repro_serve_errors_total``) of ``metrics``: the server's shared
+    :class:`~repro.obs.metrics.MetricsRegistry`, or a private one when
+    ``None``.  A successful request's latency goes to the
+    ``repro_serve_request_seconds`` histogram and to the matrix's
+    :class:`LatencyWindow`, which the ``/stats`` percentiles read.
     """
 
-    def __init__(
-        self,
-        window: int = DEFAULT_WINDOW,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self._window = int(window)
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
+        m = metrics if metrics is not None else MetricsRegistry()
+        self._requests = m.counter(
+            "repro_serve_requests_total",
+            "Multiply requests answered, by matrix.",
+            labels=("matrix",),
+        )
+        self._errors = m.counter(
+            "repro_serve_errors_total",
+            "Multiply requests failed, by matrix.",
+            labels=("matrix",),
+        )
+        self._seconds = m.histogram(
+            "repro_serve_request_seconds",
+            "Multiply request latency in seconds, by matrix.",
+            labels=("matrix",),
+        )
         self._lock = threading.Lock()
-        self._per_matrix: dict[str, MatrixStats] = {}
-        self._families: tuple[Family, Family, Family] | None = None
-        if metrics is not None:
-            self._families = (
-                metrics.counter(
-                    "repro_serve_requests_total",
-                    "Multiply requests answered, by matrix.",
-                    labels=("matrix",),
-                ),
-                metrics.counter(
-                    "repro_serve_errors_total",
-                    "Multiply requests failed, by matrix.",
-                    labels=("matrix",),
-                ),
-                metrics.histogram(
-                    "repro_serve_request_seconds",
-                    "Multiply request latency in seconds, by matrix.",
-                    labels=("matrix",),
-                ),
-            )
+        #: matrix name → its requests and errors children and window.
+        self._per_matrix: dict[str, tuple[Any, Any, LatencyWindow]] = {}
 
     def record(self, name: str, seconds: float | None, error: bool = False) -> None:
         """Record one request against matrix ``name``."""
         with self._lock:
-            stats = self._per_matrix.get(name)
-            if stats is None:
-                stats = self._per_matrix[name] = MatrixStats(self._window)
-            stats.record(seconds, error=error)
-        if self._families is not None:
-            requests, errors, seconds_hist = self._families
-            requests.labels(matrix=name).inc()
-            if error:
-                errors.labels(matrix=name).inc()
-            elif seconds is not None:
-                seconds_hist.labels(matrix=name).observe(seconds)
+            entry = self._per_matrix.get(name)
+            if entry is None:
+                entry = self._per_matrix[name] = (
+                    self._requests.labels(matrix=name),
+                    self._errors.labels(matrix=name),
+                    LatencyWindow(),
+                )
+        requests, errors, window = entry
+        requests.inc()
+        if error:
+            errors.inc()
+        elif seconds is not None:
+            window.record(seconds)
+            self._seconds.labels(matrix=name).observe(seconds)
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """``{matrix name: summary dict}`` for every matrix seen so far."""
         with self._lock:
-            return {
-                name: stats.snapshot()
-                for name, stats in self._per_matrix.items()
+            per_matrix = list(self._per_matrix.items())
+        out: dict[str, dict[str, float]] = {}
+        for name, (requests, errors, window) in per_matrix:
+            summary: dict[str, float] = {
+                "requests": int(requests.value),
+                "errors": int(errors.value),
             }
+            summary.update(window.snapshot())
+            out[name] = summary
+        return out

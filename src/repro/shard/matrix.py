@@ -51,7 +51,7 @@ from repro.errors import (
 from repro.formats.base import MatrixFormat
 from repro.obs.trace import span
 from repro.resilience import faults as _faults
-from repro.resilience.policy import STATE_OPEN, check_deadline
+from repro.resilience.policy import check_deadline
 from repro.shard.plan import ShardPlan, plan_shards
 
 
@@ -364,10 +364,13 @@ class LazyShardedMatrix(_ShardFanout):
     failed load raises :class:`~repro.errors.ShardUnavailableError`,
     and a shard whose breaker is open is *quarantined* — it fails fast
     until the breaker half-opens and a probe load succeeds.  The
-    matrix keeps serving work that avoids quarantined shards, and
-    :attr:`state` / :meth:`resilience_stats` expose ``healthy`` /
-    ``degraded`` / ``quarantined``.  Loads honour the ambient request
-    deadline (:func:`repro.resilience.policy.deadline_scope`).
+    matrix keeps serving work that avoids quarantined shards.
+    ``residency.state(matrix)`` reads ``healthy`` / ``degraded`` /
+    ``quarantined`` from the shard breakers, and
+    ``residency.stats()`` counts shard loads, evictions, retries and
+    failures across every matrix sharing the residency.  Loads honour
+    the ambient request deadline
+    (:func:`repro.resilience.policy.deadline_scope`).
     """
 
     def __init__(
@@ -404,22 +407,6 @@ class LazyShardedMatrix(_ShardFanout):
         self._mmap = bool(mmap)
         self._view: memoryview | None = None
 
-    @property
-    def shard_loads(self) -> int:
-        return int(self.residency.shard_counts.loads.value)
-
-    @property
-    def shard_evictions(self) -> int:
-        return int(self.residency.shard_counts.evictions.value)
-
-    @property
-    def shard_retries(self) -> int:
-        return int(self.residency.shard_counts.retries.value)
-
-    @property
-    def shard_failures(self) -> int:
-        return int(self.residency.shard_counts.failures.value)
-
     # -- shard loading ----------------------------------------------------------------
 
     @property
@@ -430,29 +417,6 @@ class LazyShardedMatrix(_ShardFanout):
     def resident_shards(self) -> int:
         """How many shards are currently loaded."""
         return len(self.residency.loaded(self))
-
-    @property
-    def state(self) -> str:
-        """Degradation state from the shard breakers (see
-        :meth:`repro.serve.residency.Residency.state`)."""
-        return self.residency.state(self)
-
-    def quarantined_shards(self) -> list[int]:
-        """Indices of shards whose breaker is currently open."""
-        breakers = self.residency.breakers(self)
-        return sorted(i for i, b in breakers.items() if b.state == STATE_OPEN)
-
-    def resilience_stats(self) -> dict:
-        """JSON-ready degradation counters."""
-        return {
-            "state": self.state,
-            "shard_retries": self.shard_retries,
-            "shard_failures": self.shard_failures,
-            "quarantined_shards": self.quarantined_shards(),
-            "breaker_opens": sum(
-                b.opens for b in self.residency.breakers(self).values()
-            ),
-        }
 
     def _map_file(self) -> memoryview:
         """The shared read-only view over the mapped container file."""

@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: runs a whole example script (seconds, not milliseconds)"
+    )
+
+
 @pytest.fixture
 def paper_matrix() -> np.ndarray:
     """The 6×5 worked example of Figure 1 in the paper."""

@@ -118,7 +118,7 @@ class TestLazyShardMmap:
         lazy = LazyShardedMatrix(path, mmap=True)
         x = rng.standard_normal(dense.shape[1])
         assert np.allclose(lazy.right_multiply(x), dense @ x)
-        assert lazy.shard_loads == 3
+        assert lazy.residency.stats()["shard_loads"] == 3
 
     def test_evicted_shard_reloads_correctly(self, tmp_path, rng):
         dense = make_structured(rng, n=90, m=10)
@@ -129,7 +129,7 @@ class TestLazyShardMmap:
         lazy.release_retained_plans()
         assert lazy.resident_shards == 0
         assert np.allclose(lazy.to_dense(), dense)
-        assert lazy.shard_loads == 6
+        assert lazy.residency.stats()["shard_loads"] == 6
 
 
 class TestRegistryLifetime:

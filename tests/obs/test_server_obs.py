@@ -12,6 +12,7 @@ import pytest
 from repro.core.gcm import GrammarCompressedMatrix
 from repro.io.serialize import save_matrix
 from repro.obs.export import CONTENT_TYPE
+from repro.resilience.faults import FaultPlan, fault_injection
 from repro.serve.registry import MatrixRegistry
 from repro.serve.server import MatrixServer
 from repro.shard.matrix import build_sharded
@@ -104,7 +105,98 @@ class TestMetricsEndpoint:
             line for line in text.splitlines()
             if line.startswith("repro_shard_loads_total")
         )
-        assert float(loads.split()[-1]) >= 3  # absorbed, not reset
+        assert float(loads.split()[-1]) >= 3  # counted at the load, not reset
+
+
+#: Every counter of ``/stats`` (a dotted path into the payload) and the
+#: ``/metrics`` sample that must read the same value.
+STATS_TO_METRICS = {
+    "registry.matrices": "repro_registry_matrices",
+    "registry.resident": "repro_registry_resident",
+    "registry.resident_bytes": "repro_registry_resident_bytes",
+    "registry.resident_shards": "repro_registry_resident_shards",
+    "registry.quarantined": "repro_registry_quarantined",
+    "registry.degraded": "repro_registry_degraded",
+    "registry.hits": 'repro_registry_lookups_total{result="hit"}',
+    "registry.misses": 'repro_registry_lookups_total{result="miss"}',
+    "registry.loads": "repro_registry_loads_total",
+    "registry.evictions": "repro_registry_evictions_total",
+    "registry.load_retries": "repro_registry_load_retries_total",
+    "registry.load_failures": "repro_registry_load_failures_total",
+    "registry.header_reads": "repro_registry_header_reads_total",
+    "registry.catalog_registrations": "repro_registry_catalog_registrations_total",
+    "registry.shard_loads": "repro_shard_loads_total",
+    "registry.shard_evictions": "repro_shard_evictions_total",
+    "registry.shard_retries": "repro_shard_retries_total",
+    "registry.shard_failures": "repro_shard_failures_total",
+    "registry.breaker_opens": "repro_breaker_opens_total",
+    "jobs.submitted": 'repro_job_events_total{event="submitted"}',
+    "jobs.completed": 'repro_job_events_total{event="completed"}',
+    "jobs.failed": 'repro_job_events_total{event="failed"}',
+    "jobs.jobs_orphaned": 'repro_job_events_total{event="orphaned"}',
+    "jobs.workers_restarted": 'repro_job_events_total{event="worker_restarted"}',
+    "jobs.leaked_workers": 'repro_job_events_total{event="worker_leaked"}',
+    "leaked_threads": "repro_server_leaked_threads_total",
+    "matrices.web.requests": 'repro_serve_requests_total{matrix="web"}',
+    "matrices.web.errors": 'repro_serve_errors_total{matrix="web"}',
+    "matrices.sharded.requests": 'repro_serve_requests_total{matrix="sharded"}',
+    "matrices.sharded.errors": 'repro_serve_errors_total{matrix="sharded"}',
+}
+
+
+class TestStatsAgreeWithMetrics:
+    def test_every_stats_counter_equals_its_metrics_sample(self, server, tmp_path):
+        def get(path):
+            return _request(server.url + path)[2]
+
+        web = {"matrix": "web", "vectors": [[1.0] * 30]}
+        sharded = {"matrix": "sharded", "vectors": [[1.0] * 24]}
+        for body in (web, sharded):
+            for op in ("right", "left"):
+                status = _request(server.url + "/multiply", body={**body, "op": op})[0]
+                assert status == 200
+        short = {**web, "vectors": [[1.0] * 29]}
+        assert _request(server.url + "/multiply", body=short)[0] == 400
+        # A cold shard 1 that reads corrupt fails three loads, and the
+        # fourth request finds its breaker open.
+        server.registry.evict("sharded")
+        plan = FaultPlan().corrupt_bytes(f"{tmp_path / 'sharded.gcmx'}#shard1")
+        with fault_injection(plan):
+            for _ in range(4):
+                status, _, body = _multiply(server, matrix="sharded", n=24)
+                assert status == 503
+        assert "quarantined" in json.loads(body)["error"]
+        job = {"algorithm": "pagerank", "matrix": "web", "params": {"iterations": 5}}
+        assert _request(server.url + "/jobs", body=job)[0] == 202
+        deadline = time.monotonic() + 10
+        while not json.loads(get("/stats"))["jobs"]["completed"]:
+            assert time.monotonic() < deadline, "the job did not complete"
+            time.sleep(0.05)
+
+        stats = json.loads(get("/stats"))
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in get("/metrics").decode().splitlines()
+            if not line.startswith("#")
+        )
+        registry_keys = {
+            k for k, v in stats["registry"].items() if type(v) is int
+        }
+        assert registry_keys == {
+            path.split(".")[1]
+            for path in STATS_TO_METRICS
+            if path.startswith("registry.")
+        }
+        for path, sample in STATS_TO_METRICS.items():
+            value = stats
+            for key in path.split("."):
+                value = value[key]
+            assert float(samples[sample]) == value, (path, sample)
+        assert stats["registry"]["breaker_opens"] == 1
+        assert stats["registry"]["shard_failures"] == 3
+        assert stats["matrices"]["web"]["errors"] == 1
+        assert stats["matrices"]["sharded"]["errors"] == 4
+        assert stats["jobs"]["completed"] == 1
 
 
 class TestTraceEndpoint:

@@ -6,11 +6,18 @@ import pytest
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
+    IntegrityError,
     ShardUnavailableError,
 )
 from repro.io.serialize import save_matrix
+from repro.obs.export import render_prometheus
 from repro.resilience.faults import FaultPlan, fault_injection
-from repro.resilience.policy import Deadline, RetryPolicy, deadline_scope
+from repro.resilience.policy import (
+    STATE_OPEN,
+    Deadline,
+    RetryPolicy,
+    deadline_scope,
+)
 from repro.serve.registry import MatrixRegistry
 from repro.serve.residency import Residency
 from repro.shard import LazyShardedMatrix, build_sharded
@@ -37,9 +44,9 @@ class TestShardRetries:
         with fault_injection(plan):
             y = matrix.right_multiply(np.ones(dense.shape[1]))
         assert np.allclose(y, dense @ np.ones(dense.shape[1]))
-        assert matrix.shard_retries == 2
-        assert matrix.shard_failures == 0
-        assert matrix.state == "healthy"
+        assert matrix.residency.stats()["shard_retries"] == 2
+        assert matrix.residency.stats()["shard_failures"] == 0
+        assert matrix.residency.state(matrix) == "healthy"
 
     def test_exhausted_retries_raise_typed(self, container):
         path, _ = container
@@ -49,8 +56,8 @@ class TestShardRetries:
             with pytest.raises(ShardUnavailableError) as excinfo:
                 matrix.right_multiply(np.ones(matrix.shape[1]))
         assert excinfo.value.shard == 0
-        assert matrix.shard_failures == 1
-        assert matrix.state == "degraded"
+        assert matrix.residency.stats()["shard_failures"] == 1
+        assert matrix.residency.state(matrix) == "degraded"
 
 
 class TestQuarantine:
@@ -72,9 +79,10 @@ class TestQuarantine:
             for _ in range(2):
                 with pytest.raises(ShardUnavailableError):
                     matrix.right_multiply(x)
-        assert matrix.state == "quarantined"
-        assert matrix.quarantined_shards() == [1]
-        stats = matrix.resilience_stats()
+        assert matrix.residency.state(matrix) == "quarantined"
+        breakers = matrix.residency.breakers(matrix)
+        assert sorted(i for i, b in breakers.items() if b.state == STATE_OPEN) == [1]
+        stats = matrix.residency.stats()
         assert stats["breaker_opens"] == 1
         assert stats["shard_failures"] == 2
 
@@ -104,13 +112,14 @@ class TestQuarantine:
         with fault_injection(FaultPlan().corrupt_bytes(f"{path}#shard2")):
             with pytest.raises(ShardUnavailableError):
                 matrix.right_multiply(x)
-        assert matrix.state == "quarantined"
+        assert matrix.residency.state(matrix) == "quarantined"
 
         time.sleep(0.12)  # breaker half-opens; fault budget is spent
         y = matrix.right_multiply(x)
         assert np.allclose(y, dense @ x)
-        assert matrix.state == "healthy"
-        assert matrix.quarantined_shards() == []
+        assert matrix.residency.state(matrix) == "healthy"
+        breakers = matrix.residency.breakers(matrix)
+        assert sorted(i for i, b in breakers.items() if b.state == STATE_OPEN) == []
 
 
 class TestDeadlines:
@@ -124,8 +133,8 @@ class TestDeadlines:
                     matrix.right_multiply(np.ones(matrix.shape[1]))
         # A slow dependency is the *request's* problem, not evidence
         # the shard is broken: the breaker stays closed.
-        assert matrix.state == "healthy"
-        assert matrix.resilience_stats()["breaker_opens"] == 0
+        assert matrix.residency.state(matrix) == "healthy"
+        assert matrix.residency.stats()["breaker_opens"] == 0
 
 
 class TestRegistryStates:
@@ -167,3 +176,45 @@ class TestRegistryStates:
             matrix = registry.get("beta")
             matrix.right_multiply(np.ones(matrix.shape[1]))
         assert registry.stats()["shard_retries"] == 2
+
+    def test_breaker_opens_never_go_backwards(self, container, rng, tmp_path):
+        from repro.core.csrv import CSRVMatrix
+
+        path, _ = container
+        registry = MatrixRegistry(
+            root=tmp_path, retry_policy=fast_retry(1), breaker_threshold=1
+        )
+
+        def opens():
+            count = registry.stats()["breaker_opens"]
+            sample = next(
+                line
+                for line in render_prometheus(registry.metrics).splitlines()
+                if line.startswith("repro_breaker_opens_total ")
+            )
+            assert float(sample.split()[-1]) == count
+            return count
+
+        matrix = registry.get("beta")
+        with fault_injection(FaultPlan().corrupt_bytes(f"{path}#shard1")):
+            with pytest.raises(ShardUnavailableError):
+                matrix.right_multiply(np.ones(matrix.shape[1]))
+        assert opens() == 1
+        # Evicting the lazy matrix drops its shard breakers, and a
+        # re-registered name gets fresh ones: the trip stays counted.
+        registry.evict("beta")
+        assert opens() == 1
+        registry.register("beta", path)
+        assert opens() == 1
+
+        alpha = tmp_path / "alpha.gcmx"
+        save_matrix(CSRVMatrix.from_dense(make_structured(rng, n=30, m=6)), alpha)
+        registry.register("alpha", alpha)
+        with fault_injection(FaultPlan().corrupt_bytes(str(alpha))):
+            with pytest.raises(IntegrityError):
+                registry.get("alpha")
+        assert registry.describe("alpha")["state"] == "quarantined"
+        assert opens() == 2
+        registry.register("alpha", alpha)
+        assert registry.describe("alpha")["state"] == "healthy"
+        assert opens() == 2

@@ -168,11 +168,12 @@ class TestCircuitBreaker:
         clock = FakeClock()
         breaker = self.make(clock)
         assert breaker.state == STATE_CLOSED
+        tripped = []
         for _ in range(3):
             breaker.allow()
-            breaker.record_failure()
+            tripped.append(breaker.record_failure())
         assert breaker.state == STATE_OPEN
-        assert breaker.opens == 1
+        assert tripped == [False, False, True]
         with pytest.raises(CircuitOpenError) as excinfo:
             breaker.allow()
         assert excinfo.value.retry_after == pytest.approx(30.0)
@@ -187,12 +188,11 @@ class TestCircuitBreaker:
     def test_half_open_failure_reopens(self):
         clock = FakeClock()
         breaker = self.make(clock, threshold=1, reset=10.0)
-        breaker.record_failure()
+        assert breaker.record_failure() is True
         clock.advance(10.0)
         breaker.allow()
-        breaker.record_failure()
+        assert breaker.record_failure() is True
         assert breaker.state == STATE_OPEN
-        assert breaker.opens == 2
         assert breaker.retry_after() == pytest.approx(10.0)
 
     def test_half_open_probe_budget(self):
@@ -212,19 +212,6 @@ class TestCircuitBreaker:
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state == STATE_CLOSED  # streak broken: 1 < 3
-
-    def test_describe_is_json_ready(self):
-        clock = FakeClock()
-        breaker = self.make(clock, threshold=1)
-        breaker.record_failure()
-        snap = breaker.describe()
-        assert snap == {
-            "state": STATE_OPEN,
-            "consecutive_failures": 1,
-            "opens": 1,
-            "total_failures": 1,
-            "total_successes": 0,
-        }
 
     def test_reset_force_closes(self):
         clock = FakeClock()

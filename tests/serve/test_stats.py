@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.errors import MatrixFormatError
-from repro.serve.stats import LatencyWindow, MatrixStats, ServeStats
+from repro.serve.stats import LatencyWindow, ServeStats
 
 
 class TestLatencyWindow:
@@ -74,10 +74,10 @@ class TestLatencyWindow:
 
 class TestMatrixStats:
     def test_errors_not_counted_in_latency(self):
-        stats = MatrixStats()
-        stats.record(0.010)
-        stats.record(None, error=True)
-        snap = stats.snapshot()
+        stats = ServeStats()
+        stats.record("m", 0.010)
+        stats.record("m", None, error=True)
+        snap = stats.snapshot()["m"]
         assert snap["requests"] == 2
         assert snap["errors"] == 1
         assert snap["count"] == 1

@@ -55,7 +55,7 @@ class TestLazyLoading:
         path, _ = container
         lazy = LazyShardedMatrix(path)
         assert lazy.resident_shards == 0
-        assert lazy.shard_loads == 0
+        assert lazy.residency.stats()["shard_loads"] == 0
         assert lazy.resident_footprint_bytes() == 0
 
     def test_multiply_matches_dense_and_loads_all(self, container, dense, rng):
@@ -63,11 +63,11 @@ class TestLazyLoading:
         lazy = LazyShardedMatrix(path)
         x = rng.standard_normal(dense.shape[1])
         assert np.allclose(lazy @ x, dense @ x)
-        assert lazy.shard_loads == 3
+        assert lazy.residency.stats()["shard_loads"] == 3
         assert lazy.resident_shards == 3  # no budget: everything stays
         y = rng.standard_normal(dense.shape[0])
         assert np.allclose(y @ lazy, y @ dense)
-        assert lazy.shard_loads == 3  # warm: no reloads
+        assert lazy.residency.stats()["shard_loads"] == 3  # warm: no reloads
 
     def test_panel_matches_dense(self, container, dense, rng):
         path, _ = container
@@ -100,12 +100,12 @@ class TestShardEviction:
         lazy = LazyShardedMatrix(path, residency=Residency(budget))
         x = rng.standard_normal(dense.shape[1])
         assert np.allclose(lazy @ x, dense @ x)
-        assert lazy.shard_evictions >= 1
+        assert lazy.residency.stats()["shard_evictions"] >= 1
         assert 0 < lazy.resident_shards < 3
         assert lazy.resident_footprint_bytes() <= budget
         # still servable: cold shards stream back in
         assert np.allclose(lazy @ x, dense @ x)
-        assert lazy.shard_loads > 3
+        assert lazy.residency.stats()["shard_loads"] > 3
 
     def test_sequential_multiply_streams_within_budget(
         self, container, dense, rng
@@ -342,7 +342,7 @@ class TestPanelPasses:
         lazy = LazyShardedMatrix(path, residency=Residency(1))
         got, want = _panel_op(lazy, op, k, dense, rng)
         assert np.allclose(got, want)
-        assert lazy.shard_loads == 4
+        assert lazy.residency.stats()["shard_loads"] == 4
         assert lazy.resident_shards == 0
 
     @pytest.mark.parametrize("op", ["right", "left"])
@@ -392,7 +392,7 @@ class TestEvictionDuringLoad:
         lazy._load_shard = evicting_load
         x = rng.standard_normal(dense.shape[1])
         assert np.allclose(lazy @ x, dense @ x)
-        assert lazy.shard_loads == 3
+        assert lazy.residency.stats()["shard_loads"] == 3
         assert lazy.resident_shards == 0
 
 
@@ -461,7 +461,7 @@ class TestSharedScan:
         with fault_injection(plan):
             results = _run_threads([one_pass, one_pass])
         # One read per shard: the second pass waited for the first's loads.
-        assert lazy.shard_loads == lazy.n_shards
+        assert lazy.residency.stats()["shard_loads"] == lazy.n_shards
         assert len(plan.events) == lazy.n_shards
         want = dense @ operand if op == "right" else operand @ dense
         for got in results:
@@ -494,7 +494,7 @@ class TestSharedScan:
             loader.join(30)
         assert not loader.is_alive()
         assert np.allclose(answers[0], dense @ x)
-        assert lazy.shard_loads == lazy.n_shards  # the waiter loaded nothing
+        assert lazy.residency.stats()["shard_loads"] == lazy.n_shards  # the waiter loaded nothing
         # The waiter's pin went with it: everything streamed back out.
         assert lazy.resident_footprint_bytes() <= 1
 
@@ -531,8 +531,8 @@ class TestSharedScan:
         assert not thread.is_alive()
         assert isinstance(outcome[0], ShardUnavailableError)
         assert np.allclose(answer, dense @ x)
-        assert lazy.shard_failures == 1  # only the loader's real attempts
-        assert lazy.shard_retries == 2
+        assert lazy.residency.stats()["shard_failures"] == 1  # only the loader's real attempts
+        assert lazy.residency.stats()["shard_retries"] == 2
 
     def test_passes_sharing_a_shard_move_on_together(
         self, container, dense, rng
@@ -578,7 +578,7 @@ class TestSharedScan:
             got_right, got_left = _run_threads([right, left])
         assert np.allclose(got_right, dense @ x)
         assert np.allclose(got_left, y @ dense)
-        assert lazy.shard_loads == lazy.n_shards
+        assert lazy.residency.stats()["shard_loads"] == lazy.n_shards
 
     def test_pinned_shard_survives_another_pass_budget_check(
         self, container, dense, rng
@@ -594,9 +594,9 @@ class TestSharedScan:
             lazy._pin_shard(i)
             lazy._shard(i)
             lazy._after_shard(i)  # its budget check: shard 0 is the LRU
-        loads = lazy.shard_loads
+        loads = lazy.residency.stats()["shard_loads"]
         lazy._shard(0)
-        assert lazy.shard_loads == loads, "the pinned shard was evicted"
+        assert lazy.residency.stats()["shard_loads"] == loads, "the pinned shard was evicted"
         assert lazy.resident_shards == 1
         lazy._after_shard(0)  # the visit ends: its pin is released
         assert lazy.resident_footprint_bytes() <= budget

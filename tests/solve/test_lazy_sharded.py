@@ -54,7 +54,7 @@ class TestLazyShardedSolves:
         # The sequential shard walk streamed shards in and out: cold
         # shards were evicted between visits, so the loaded window
         # never exceeded the (one-shard) budget.
-        assert lazy.shard_evictions > 0
+        assert lazy.residency.stats()["shard_evictions"] > 0
         assert lazy.resident_shards < lazy.n_shards
         assert lazy.resident_footprint_bytes() <= lazy.residency.byte_budget
 
