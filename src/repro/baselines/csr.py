@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import MatrixFormatError
-from repro.formats.base import MatrixFormat
+from repro.formats.base import MatrixFormat, fill_out
 
 
 class _ScipyBackedMatrix(MatrixFormat):
@@ -64,23 +64,11 @@ class _ScipyBackedMatrix(MatrixFormat):
 
     # -- kernels (scipy SpMV / SpMM) -----------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
-        return self._csr @ x
+    def _right(self, x: np.ndarray, out, executor) -> np.ndarray:
+        return fill_out(out, self._csr @ x)
 
-    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
-        return self._csr.T @ y
-
-    def _right_panel_kernel(self, executor):
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            out[:] = self._csr @ panel
-
-        return kernel
-
-    def _left_panel_kernel(self, executor):
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            out[:] = self._csr.T @ panel
-
-        return kernel
+    def _left(self, y: np.ndarray, out, executor) -> np.ndarray:
+        return fill_out(out, self._csr.T @ y)
 
 
 class CSRMatrix(_ScipyBackedMatrix):

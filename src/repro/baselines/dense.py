@@ -37,17 +37,11 @@ class DenseMatrix(MatrixFormat):
 
     # -- kernels (all BLAS) --------------------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
-        return self._m @ x
+    def _right(self, x: np.ndarray, out, executor) -> np.ndarray:
+        return np.matmul(self._m, x, out=out)
 
-    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
-        return y @ self._m
-
-    def _right_panel_kernel(self, executor):
-        return lambda panel, out: np.matmul(self._m, panel, out=out)
-
-    def _left_panel_kernel(self, executor):
-        return lambda panel, out: np.matmul(self._m.T, panel, out=out)
+    def _left(self, y: np.ndarray, out, executor) -> np.ndarray:
+        return np.matmul(self._m.T, y, out=out)
 
     # -- accounting ----------------------------------------------------------------
 

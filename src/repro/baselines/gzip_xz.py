@@ -59,19 +59,11 @@ class _WholeFileCompressedMatrix(MatrixFormat):
 
     # -- kernels (decompress, then BLAS) --------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
-        return self.to_dense() @ x
+    def _right(self, x: np.ndarray, out, executor) -> np.ndarray:
+        return np.matmul(self.to_dense(), x, out=out)
 
-    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
-        return y @ self.to_dense()
-
-    def _right_panel_kernel(self, executor):
-        dense = self.to_dense()  # one decompression for the whole panel
-        return lambda panel, out: np.matmul(dense, panel, out=out)
-
-    def _left_panel_kernel(self, executor):
-        dense = self.to_dense()
-        return lambda panel, out: np.matmul(dense.T, panel, out=out)
+    def _left(self, y: np.ndarray, out, executor) -> np.ndarray:
+        return np.matmul(self.to_dense().T, y, out=out)
 
     # -- accounting ----------------------------------------------------------------
 

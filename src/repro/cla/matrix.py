@@ -25,7 +25,7 @@ import numpy as np
 from repro.cla.colgroup import GROUP_FORMATS
 from repro.cla.planner import plan_column_groups
 from repro.errors import MatrixFormatError
-from repro.formats.base import MatrixFormat
+from repro.formats.base import MatrixFormat, fill_out
 
 
 # -- per-group workers, mapped over the groups by a BlockExecutor ---------------------
@@ -141,6 +141,12 @@ class CLAMatrix(MatrixFormat):
 
     # -- multiplication ----------------------------------------------------------------
 
+    def _right(self, x: np.ndarray, out, executor) -> np.ndarray:
+        return _per_column(self._right_vector, x, out, self._shape[0], executor)
+
+    def _left(self, y: np.ndarray, out, executor) -> np.ndarray:
+        return _per_column(self._left_vector, y, out, self._shape[1], executor)
+
     def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
         """``y = M x`` over the compressed groups."""
         if executor is None or len(self._groups) == 1:
@@ -160,3 +166,15 @@ class CLAMatrix(MatrixFormat):
             return x
         fn = partial(_left_group_partial, y=y, n_cols=self._shape[1])
         return np.sum(executor.map_blocks(fn, self._groups), axis=0)
+
+
+def _per_column(vector_kernel, a: np.ndarray, out, rows: int, executor) -> np.ndarray:
+    """The group kernels take one vector: run one per column of ``a``
+    (once for a vector), under the ``out=`` contract of the hooks."""
+    if a.ndim == 1:
+        return fill_out(out, vector_kernel(a, executor))
+    if out is None:
+        out = np.empty((rows, a.shape[1]), dtype=np.float64)
+    for j in range(a.shape[1]):
+        out[:, j] = vector_kernel(np.ascontiguousarray(a[:, j]), executor)
+    return out

@@ -11,11 +11,14 @@ single integer: ``$`` is encoded as ``0`` and the pair ``⟨ℓ, j⟩`` as
 these as 32-bit words, so :meth:`CSRVMatrix.size_bytes` charges
 ``4·|S| + 8·|V|`` bytes.
 
-Both multiplication directions are single scans of ``S``
-(implemented here with vectorised gathers / bincounts):
+Both multiplication directions are single scans of ``S``:
 
 - right: ``y[i] += V[ℓ]·x[j]`` for each pair in row ``i``;
 - left:  ``x[j] += y[i]·V[ℓ]``.
+
+Here both run as scipy's compiled CSR kernels over a cached CSR view
+of the decoded pairs (row-major ``S`` *is* a CSR layout once ``ℓ`` is
+replaced by ``V[ℓ]``), for a vector and a panel alike.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import MatrixFormatError
-from repro.formats.base import MatrixFormat
+from repro.formats.base import MatrixFormat, fill_out
 
 #: Integer code of the row separator ``$`` inside ``S``.
 ROW_SEPARATOR = 0
@@ -214,7 +217,8 @@ class CSRVMatrix(MatrixFormat):
     def resident_overhead_bytes(self) -> int:
         """Decoded working caches a *served* block accrues: the
         ``(row, ℓ, j)`` views (3 × 8 bytes/nonzero) plus the scipy CSR
-        panel view (~16 bytes/nonzero + the index pointer)."""
+        view the kernels run on (~16 bytes/nonzero + the index
+        pointer)."""
         return 40 * self.nnz + 8 * (self._shape[0] + 1)
 
     # -- decoded views -------------------------------------------------------------
@@ -242,11 +246,11 @@ class CSRVMatrix(MatrixFormat):
         return decoded
 
     def _scipy_csr(self):
-        """Cached scipy CSR view for the panel (multi-vector) kernels.
+        """Cached scipy CSR view for the multiplication kernels.
 
         ``S`` is row-major, so the decoded row array is sorted and the
-        CSR index pointer is a single ``searchsorted`` — the panel
-        multiplication then runs as one C-speed SpMM instead of a
+        CSR index pointer is a single ``searchsorted`` — a vector or a
+        panel then runs as one compiled SpMV / SpMM instead of a
         python-level gather/scatter per entry.  Cached like
         :meth:`_decoded` (a working view, not part of the stored
         representation or its size accounting).
@@ -279,17 +283,13 @@ class CSRVMatrix(MatrixFormat):
 
     # -- multiplication (Section 2) --------------------------------------------------
 
-    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
+    def _right(self, x: np.ndarray, out, executor) -> np.ndarray:
         """``y = M x`` with a single scan of ``S``."""
-        rows, l_idx, j_idx = self._decoded()
-        contrib = self._values[l_idx] * x[j_idx]
-        return np.bincount(rows, weights=contrib, minlength=self._shape[0])
+        return fill_out(out, self._scipy_csr() @ x)
 
-    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
+    def _left(self, y: np.ndarray, out, executor) -> np.ndarray:
         """``xᵗ = yᵗ M`` with a single scan of ``S``."""
-        rows, l_idx, j_idx = self._decoded()
-        contrib = self._values[l_idx] * y[rows]
-        return np.bincount(j_idx, weights=contrib, minlength=self._shape[1])
+        return fill_out(out, self._scipy_csr().T @ y)
 
     def with_column_order(self, column_order) -> CSRVMatrix:
         """Re-lay-out each row's pairs following a column permutation.
@@ -310,23 +310,6 @@ class CSRVMatrix(MatrixFormat):
         new_s = self._s.copy()
         new_s[self._s != ROW_SEPARATOR] = codes[new_order]
         return CSRVMatrix(new_s, self._values, (n, m))
-
-    def _right_panel_kernel(self, executor):
-        """Panel MVM via the cached scipy CSR view (one C-speed SpMM)."""
-        csr = self._scipy_csr()
-
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            out[:] = csr @ panel
-
-        return kernel
-
-    def _left_panel_kernel(self, executor):
-        csr_t = self._scipy_csr().T
-
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            out[:] = csr_t @ panel
-
-        return kernel
 
     # -- partitioning (Section 4.1) ---------------------------------------------------
 

@@ -371,36 +371,19 @@ class GrammarCompressedMatrix(MatrixFormat):
                     engine = self._engine = MvmEngine(plan, self._values)
         return engine
 
-    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
-        """``y = M x`` directly on the compressed form."""
-        return self._get_engine().right(x)
+    def _right(self, x: np.ndarray, out, executor) -> np.ndarray:
+        """``y = M x`` directly on the compressed form (Theorem 3.4).
 
-    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
-        """``xᵗ = yᵗ M`` directly on the compressed form."""
-        return self._get_engine().left(y)
+        The engine — hence the ``re_iv``/``re_ans`` storage decode — is
+        built once per call; a panel runs up to
+        :data:`~repro.core.multiply.PANEL_COLUMNS` vectors through each
+        pass over the grammar.
+        """
+        return self._get_engine().right(x, out=out)
 
-    def _right_panel_kernel(self, executor):
-        """Batched Theorem 3.4: one pass over the grammar serves all
-        ``k`` vectors, amortising the per-variant decode cost across
-        the panel (the access pattern ML workloads such as mini-batch
-        scoring need).  The engine — and hence the ``re_iv``/``re_ans``
-        storage decode — is built **once** here and reused across any
-        ``panel_width`` chunks of the call."""
-        engine = self._get_engine()
-
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            engine.right(panel, out=out)
-
-        return kernel
-
-    def _left_panel_kernel(self, executor):
-        """Batched Theorem 3.10 over one shared engine build."""
-        engine = self._get_engine()
-
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            engine.left(panel, out=out)
-
-        return kernel
+    def _left(self, y: np.ndarray, out, executor) -> np.ndarray:
+        """``xᵗ = yᵗ M`` directly on the compressed form (Theorem 3.10)."""
+        return self._get_engine().left(y, out=out)
 
     # -- accounting -------------------------------------------------------------------
 

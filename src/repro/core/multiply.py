@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -73,6 +74,12 @@ from repro.errors import MatrixFormatError
 
 #: Largest index the compiled kernels' 32-bit index variant can hold.
 _INT32_MAX = np.iinfo(np.int32).max
+
+#: Widest panel :class:`MvmEngine` runs in one pass.  Wider panels run
+#: in chunks of this many columns over the same engine, so the stacked
+#: vector ``[x; W]`` never takes more than ``8·(m + q)·PANEL_COLUMNS``
+#: bytes, however many vectors a call carries.
+PANEL_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -270,8 +277,11 @@ class MvmEngine:
     The engine is stateless with respect to the operands: :meth:`right`
     and :meth:`left` can be called any number of times, with a vector or
     a ``(·, k)`` panel.  The stacked vector ``z = [x; W]`` of the
-    theorems is allocated per call (``8·(m + q)·k`` bytes, matching the
-    ``O(|R|)`` space bound per vector).
+    theorems is allocated per pass (``8·(m + q)·k`` bytes, matching the
+    ``O(|R|)`` space bound per vector); a panel wider than
+    :data:`PANEL_COLUMNS` runs in passes of that many columns, which
+    caps the workspace while the plan and its storage decode still
+    serve the whole call.
     """
 
     def __init__(self, plan: MvmPlan, values: np.ndarray) -> None:
@@ -326,6 +336,8 @@ class MvmEngine:
         contents are overwritten) and is returned.
         """
         x = _operand(x, self._plan.n_cols, "x")
+        if x.ndim == 2 and x.shape[1] > PANEL_COLUMNS:
+            return self._chunked(self.right, x, out, self._plan.n_rows)
         z = np.zeros((self._width,) + x.shape[1:], dtype=np.float64)
         z[: self._plan.n_cols] = x
         y = _zeroed_result(out, (self._plan.n_rows,) + x.shape[1:])
@@ -344,7 +356,10 @@ class MvmEngine:
         For a panel, column ``c`` of the ``(m, k)`` result is
         ``y[:, c]ᵗ M``.  ``out`` as in :meth:`right`.
         """
-        y = np.ascontiguousarray(_operand(y, self._plan.n_rows, "y"))
+        y = _operand(y, self._plan.n_rows, "y")
+        if y.ndim == 2 and y.shape[1] > PANEL_COLUMNS:
+            return self._chunked(self.left, y, out, self._plan.n_cols)
+        y = np.ascontiguousarray(y)
         g = np.zeros((self._width,) + y.shape[1:], dtype=np.float64)
         gs, ys = _vector_views(g, y)
         # Seed from C, then flush each level once all its parents (all
@@ -358,6 +373,25 @@ class MvmEngine:
             return x.copy()
         _check_out(out, x.shape)
         out[...] = x
+        return out
+
+    @staticmethod
+    def _chunked(
+        kernel: Callable[..., np.ndarray],
+        panel: np.ndarray,
+        out: np.ndarray | None,
+        rows: int,
+    ) -> np.ndarray:
+        """``kernel`` over ``PANEL_COLUMNS``-column slices of a wide panel,
+        each written into its slice of one ``(rows, k)`` result."""
+        shape = (rows, panel.shape[1])
+        if out is None:
+            out = np.empty(shape, dtype=np.float64)
+        else:
+            _check_out(out, shape)
+        for lo in range(0, panel.shape[1], PANEL_COLUMNS):
+            cols = slice(lo, lo + PANEL_COLUMNS)
+            kernel(panel[:, cols], out=out[:, cols])
         return out
 
     # -- kernels ---------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 One protocol, seven-plus representations.  :class:`MatrixFormat`
 defines the uniform kernel surface (``right_multiply`` /
-``left_multiply`` / panel variants with ``out=`` / ``executor=`` /
-``panel_width=``, operator sugar, size accounting);
+``left_multiply`` / panel variants with ``out=`` / ``executor=``, all
+four over one ``_right`` / ``_left`` hook per format, operator sugar,
+size accounting);
 the registry maps format *names* to :class:`FormatSpec` records so
 every other layer dispatches by name:
 

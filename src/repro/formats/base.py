@@ -6,32 +6,31 @@ protocol:
 
 - ``right_multiply(x, executor=)`` / ``left_multiply(y, ...)`` — the
   single-vector kernels (``y = Mx`` and ``xᵗ = yᵗM``);
-- ``right_multiply_matrix(X, out=, executor=, panel_width=)`` /
+- ``right_multiply_matrix(X, out=, executor=)`` /
   ``left_multiply_matrix(Y, ...)`` — the batched panel kernels, with
-  in-place ``out=`` writing and bounded-workspace chunking;
+  in-place ``out=`` writing;
 - ``M @ x`` / ``y @ M`` operator sugar and a ``transpose_multiply``
   alias for the left kernel;
 - ``size_bytes()`` / ``size_breakdown()`` accounting and ``to_dense()``.
 
-Formats that have no native panel kernel inherit a correct per-column
-fallback, so *every* registered format answers batched requests.
 ``executor`` — a persistent :class:`repro.serve.executor.BlockExecutor`
 — is the one way to run a multiply in parallel: formats with parts to
 distribute (row shards and blocks, column groups) map them over it, and
-the rest ignore it.  The hooks subclasses override are the narrow ones:
+the rest ignore it.  A vector is a panel of one column, so each
+direction has **one** hook, and the four public entries above only
+validate their operands before calling it:
 
-``_right_vector`` / ``_left_vector``
-    One vector, operand already validated and coerced to float64.
-``_right_panel_kernel`` / ``_left_panel_kernel``
-    Return a ``kernel(panel, out)`` callable; it is built **once** per
-    panel call and reused across ``panel_width`` chunks, which is how
-    the grammar variants pay their storage decode once per request
-    instead of once per chunk.
-``_right_panel`` / ``_left_panel``
-    Run the whole validated panel into ``out``; the default builds the
-    kernel above and walks the ``panel_width`` chunks.  Row-partitioned
-    matrices override it to visit each part once per call and hand it
-    the whole panel, so a part's decode is not repeated per chunk.
+``_right(x, out, executor)`` / ``_left(y, out, executor)``
+    For an ``(n, m)`` matrix, ``x`` is a validated float64 vector
+    ``(m,)`` or panel ``(m, k)``, possibly strided or read-only, and
+    the result is ``(n,)`` or ``(n, k)`` to match (``_left`` maps
+    ``(n,)``/``(n, k)`` to ``(m,)``/``(m, k)``).  The contract is numpy's
+    ``matmul(..., out=)``: with ``out=None`` the hook allocates its
+    result, otherwise it writes the result into ``out`` (already
+    checked for shape and dtype) and returns ``out``.  A hook bounds
+    its own workspace: the grammar engine runs wide panels in
+    :data:`~repro.core.multiply.PANEL_COLUMNS`-column chunks over one
+    storage decode.
 
 Concrete formats register themselves with :mod:`repro.formats.registry`
 so the serving, serialization, benchmark, and CLI layers can dispatch
@@ -40,7 +39,6 @@ by name instead of by type.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from typing import Any
 
 import numpy as np
@@ -123,7 +121,7 @@ class MatrixFormat:
         them.  The base implementation is a no-op.
         """
 
-    # -- single-vector kernels -----------------------------------------------------
+    # -- kernels -------------------------------------------------------------------
 
     def right_multiply(self, x: Any, executor: Any = None) -> np.ndarray:
         """Compute ``y = M x``.
@@ -132,112 +130,53 @@ class MatrixFormat:
         internally (row blocks, column groups) and ignored by the rest,
         so callers never need per-format signatures.
         """
-        x = check_vector(x, self.shape[1], "x")
-        return self._right_vector(x, executor)
+        return self._right(check_vector(x, self.shape[1], "x"), None, executor)
 
     def left_multiply(self, y: Any, executor: Any = None) -> np.ndarray:
         """Compute ``xᵗ = yᵗ M`` (same conventions as :meth:`right_multiply`)."""
-        y = check_vector(y, self.shape[0], "y")
-        return self._left_vector(y, executor)
+        return self._left(check_vector(y, self.shape[0], "y"), None, executor)
 
     def transpose_multiply(self, y: Any, executor: Any = None) -> np.ndarray:
         """``Mᵗ y`` — an alias for :meth:`left_multiply` (``yᵗM = (Mᵗy)ᵗ``)."""
         return self.left_multiply(y, executor=executor)
-
-    def _right_vector(self, x: np.ndarray, executor: Any) -> np.ndarray:
-        """One validated right multiplication (subclass hook)."""
-        raise NotImplementedError
-
-    def _left_vector(self, y: np.ndarray, executor: Any) -> np.ndarray:
-        """One validated left multiplication (subclass hook)."""
-        raise NotImplementedError
-
-    # -- panel kernels -------------------------------------------------------------
 
     def right_multiply_matrix(
         self,
         x_block: Any,
         out: np.ndarray | None = None,
         executor: Any = None,
-        panel_width: int | None = None,
     ) -> np.ndarray:
         """Compute ``Y = M X`` for an ``(m, k)`` block of vectors.
 
         ``out``, when given, receives the result in place and is
-        returned.  ``panel_width`` chunks wide panels to bound the
-        per-call workspace; the underlying kernel (and any storage
-        decode it implies) is built once and reused across chunks.
+        returned.
         """
         panel = check_panel(x_block, self.shape[1], "x block")
-        check_panel_width(panel_width)
         out = _prepare_out(out, (self.shape[0], panel.shape[1]))
-        self._right_panel(panel, out, executor, panel_width)
-        return out
+        return self._right(panel, out, executor)
 
     def left_multiply_matrix(
         self,
         y_block: Any,
         out: np.ndarray | None = None,
         executor: Any = None,
-        panel_width: int | None = None,
     ) -> np.ndarray:
         """Compute ``Xᵗ = Yᵗ M`` for an ``(n, k)`` block of vectors."""
         panel = check_panel(y_block, self.shape[0], "y block")
-        check_panel_width(panel_width)
         out = _prepare_out(out, (self.shape[1], panel.shape[1]))
-        self._left_panel(panel, out, executor, panel_width)
-        return out
+        return self._left(panel, out, executor)
 
-    def _right_panel(
-        self,
-        panel: np.ndarray,
-        out: np.ndarray,
-        executor: Any,
-        panel_width: int | None,
-    ) -> None:
-        """Fill ``out`` with ``M @ panel``, one kernel over the chunks."""
-        kernel = self._right_panel_kernel(executor)
-        for lo, hi in _panel_chunks(panel.shape[1], panel_width):
-            kernel(panel[:, lo:hi], out[:, lo:hi])
+    def _right(
+        self, x: np.ndarray, out: np.ndarray | None, executor: Any
+    ) -> np.ndarray:
+        """``M @ x`` for a validated vector or panel (subclass hook)."""
+        raise NotImplementedError
 
-    def _left_panel(
-        self,
-        panel: np.ndarray,
-        out: np.ndarray,
-        executor: Any,
-        panel_width: int | None,
-    ) -> None:
-        """Fill ``out`` with ``panelᵗ @ M``, one kernel over the chunks."""
-        kernel = self._left_panel_kernel(executor)
-        for lo, hi in _panel_chunks(panel.shape[1], panel_width):
-            kernel(panel[:, lo:hi], out[:, lo:hi])
-
-    def _right_panel_kernel(
-        self, executor: Any
-    ) -> Callable[[np.ndarray, np.ndarray], None]:
-        """Return ``kernel(panel, out)`` for right panels.
-
-        Fallback: one :meth:`_right_vector` call per column — correct
-        for every format, so panel ops exist even for representations
-        without a native batched kernel.
-        """
-
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            for j in range(panel.shape[1]):
-                out[:, j] = self._right_vector(np.ascontiguousarray(panel[:, j]), executor)
-
-        return kernel
-
-    def _left_panel_kernel(
-        self, executor: Any
-    ) -> Callable[[np.ndarray, np.ndarray], None]:
-        """Return ``kernel(panel, out)`` for left panels (see above)."""
-
-        def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            for j in range(panel.shape[1]):
-                out[:, j] = self._left_vector(np.ascontiguousarray(panel[:, j]), executor)
-
-        return kernel
+    def _left(
+        self, y: np.ndarray, out: np.ndarray | None, executor: Any
+    ) -> np.ndarray:
+        """``Mᵗ @ y`` for a validated vector or panel (subclass hook)."""
+        raise NotImplementedError
 
     # -- operator sugar ------------------------------------------------------------
 
@@ -293,17 +232,21 @@ def check_panel(panel: Any, expected_rows: int, name: str) -> np.ndarray:
     return panel
 
 
-def check_panel_width(panel_width: int | None) -> None:
-    """Reject non-positive panel chunk widths with the package's error type."""
-    if panel_width is not None and panel_width < 1:
-        raise MatrixFormatError(
-            f"panel_width must be >= 1, got {panel_width}"
-        )
-
-
-def _prepare_out(out: np.ndarray | None, expected: tuple[int, int]) -> np.ndarray:
+def fill_out(out: np.ndarray | None, result: np.ndarray) -> np.ndarray:
+    """``result``, or ``out`` after ``result`` is copied into it: the
+    ``out=`` contract for kernels that cannot write in place."""
     if out is None:
-        return np.empty(expected, dtype=np.float64)
+        return result
+    out[...] = result
+    return out
+
+
+def _prepare_out(
+    out: np.ndarray | None, expected: tuple[int, int]
+) -> np.ndarray | None:
+    """Check a caller's ``out`` buffer; ``None`` lets the kernel allocate."""
+    if out is None:
+        return None
     if out.shape != expected:
         raise MatrixFormatError(
             f"out has shape {out.shape}, expected {expected}"
@@ -313,15 +256,6 @@ def _prepare_out(out: np.ndarray | None, expected: tuple[int, int]) -> np.ndarra
             f"out has dtype {out.dtype}, expected float64"
         )
     return out
-
-
-def _panel_chunks(k: int, panel_width: int | None) -> Iterator[tuple[int, int]]:
-    if panel_width is None or k <= panel_width:
-        if k:
-            yield 0, k
-        return
-    for lo in range(0, k, panel_width):
-        yield lo, min(k, lo + panel_width)
 
 
 def _operand(other: Any, name: str) -> np.ndarray:

@@ -814,6 +814,23 @@ def _read_shard_table(
     return shape, entries, pos
 
 
+def check_shard_shape(shard: Any, entry: ShardManifestEntry, n_cols: int) -> Any:
+    """``shard``, once its shape is its manifest entry's ``(n_rows, n_cols)``.
+
+    The multiply kernels hand each shard its rows of the operand by the
+    manifest's offsets, so a section that decodes to another shape is a
+    corrupt container, to be rejected at load rather than answered wrong
+    or blamed on the caller's operand.
+    """
+    expected = (entry.n_rows, int(n_cols))
+    if tuple(shard.shape) != expected:
+        raise SerializationError(
+            f"shard section {entry.index} has shape {tuple(shard.shape)}, "
+            f"its manifest entry says {expected}"
+        )
+    return shard
+
+
 def read_sharded(data: BytesLike, pos: int) -> tuple[Any, int]:
     from repro.shard.matrix import ShardedMatrix
 
@@ -824,9 +841,8 @@ def read_sharded(data: BytesLike, pos: int) -> tuple[Any, int]:
             raise SerializationError(
                 f"truncated shard section {entry.index}"
             )
-        shards.append(
-            loads_matrix(data[entry.offset : entry.offset + entry.length])
-        )
+        section = loads_matrix(data[entry.offset : entry.offset + entry.length])
+        shards.append(check_shard_shape(section, entry, shape[1]))
     last = entries[-1]
     return ShardedMatrix(shards, shape), last.offset + last.length
 

@@ -10,19 +10,15 @@ the plan build are paid once instead of ``k`` times (see
 :meth:`repro.core.multiply.MvmEngine.right`).
 
 Every representation speaks the :class:`repro.formats.MatrixFormat`
-protocol — panel kernels exist for all of them (native where the format
-has one, a correct per-column fallback otherwise) — so a batch is one
-call to the matrix's own panel kernel, with no dispatch here: formats
-with parts to distribute (row shards and blocks, column groups) fan
-their work out over the caller's persistent
-:class:`~repro.serve.executor.BlockExecutor`, and the rest ignore it.
-
-``panel_width`` bounds the batched workspace: the grammar kernel's
-stacked vector ``[x; W]`` is ``(m + |R|, k)`` doubles, so very wide
-panels on very large grammars are chunked into panels of at most that
-many columns
-(the kernel — and any storage decode it implies — is built once and
-reused across chunks).
+protocol, whose panel entries run the same one kernel per direction as
+a single vector, so a batch is one call to the matrix's own panel
+entry, with no dispatch here: formats with parts to distribute (row
+shards and blocks, column groups) fan their work out over the caller's
+persistent :class:`~repro.serve.executor.BlockExecutor`, and the rest
+ignore it.  The grammar kernel bounds its own workspace: its stacked
+vector ``[x; W]`` is ``(m + |R|, k)`` doubles, so it runs wide panels
+in :data:`~repro.core.multiply.PANEL_COLUMNS`-column chunks over one
+engine (one storage decode per request, not one per chunk).
 """
 
 from __future__ import annotations
@@ -58,44 +54,25 @@ def as_panel(vectors, length: int, name: str = "x") -> np.ndarray:
     return panel
 
 
-def _batched(
-    matrix,
-    vectors,
-    direction: str,
-    executor=None,
-    panel_width: int | None = None,
-) -> np.ndarray:
+def _batched(matrix, vectors, direction: str, executor=None) -> np.ndarray:
     operand_len = matrix.shape[1] if direction == "right" else matrix.shape[0]
     panel = as_panel(vectors, operand_len, "x" if direction == "right" else "y")
-    # The matrix's own panel kernel chunks over one kernel build (for
-    # re_iv/re_ans that is one storage decode per request, not one per
-    # chunk) and hands ``executor`` to its per-part fan-out.
     method = getattr(matrix, f"{direction}_multiply_matrix")
-    return method(panel, executor=executor, panel_width=panel_width)
+    return method(panel, executor=executor)
 
 
-def batch_right_multiply(
-    matrix,
-    vectors,
-    executor=None,
-    panel_width: int | None = None,
-) -> np.ndarray:
+def batch_right_multiply(matrix, vectors, executor=None) -> np.ndarray:
     """``Y = M X`` for a batch of vectors, one panel kernel call.
 
     ``vectors`` is anything :func:`as_panel` accepts; the result has
     shape ``(n_rows, k)``.  ``executor`` (a
     :class:`~repro.serve.executor.BlockExecutor`) is forwarded to the
     matrix's panel kernel, which distributes its row shards, blocks or
-    column groups over it; ``panel_width`` caps the per-call workspace.
+    column groups over it.
     """
-    return _batched(matrix, vectors, "right", executor, panel_width)
+    return _batched(matrix, vectors, "right", executor)
 
 
-def batch_left_multiply(
-    matrix,
-    vectors,
-    executor=None,
-    panel_width: int | None = None,
-) -> np.ndarray:
+def batch_left_multiply(matrix, vectors, executor=None) -> np.ndarray:
     """``Xᵗ = Yᵗ M`` for a batch of vectors; result ``(n_cols, k)``."""
-    return _batched(matrix, vectors, "left", executor, panel_width)
+    return _batched(matrix, vectors, "left", executor)

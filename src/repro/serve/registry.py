@@ -20,7 +20,7 @@ manager between the two:
 The budget charge is :func:`resident_estimate` — ``size_bytes()``
 *plus* each format's self-reported
 :meth:`~repro.formats.MatrixFormat.resident_overhead_bytes` (a CSRV
-block caches its decoded views and a scipy CSR for the panel kernels;
+block caches its decoded views and the scipy CSR its kernels run on;
 a grammar variant charges its retained
 :class:`~repro.core.multiply.MvmPlan` and bound weights — ``re_32``
 always, since it retains by default, ``re_iv``/``re_ans`` when the

@@ -115,10 +115,6 @@ MULTIPLY_OPS = ("right", "left")
 #: ``n_rows × k`` JSON floats — beyond this the client should page).
 DEFAULT_MAX_VECTORS = 1024
 
-#: Panel width the batched kernel is chunked to: bounds the grammar
-#: engine's ``(|R|, panel_width)`` float64 workspace per call.
-DEFAULT_PANEL_WIDTH = 64
-
 
 class _RequestError(Exception):
     """An HTTP error response with a status code and message.
@@ -150,11 +146,11 @@ class MatrixServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (see
         :attr:`port` for the bound value).
-    max_vectors, panel_width:
-        Request-size guards: batches above ``max_vectors`` are
-        rejected with 400, and accepted batches are chunked to
-        ``panel_width``-column panels so one request cannot allocate
-        an unbounded multiplication workspace.
+    max_vectors:
+        The request-size guard: batches above it are rejected with
+        400.  (The kernels bound their own workspace per call: the
+        grammar engine runs wide panels in
+        :data:`~repro.core.multiply.PANEL_COLUMNS`-column chunks.)
     job_workers:
         Background worker threads draining the ``/jobs`` queue — how
         many iterative solves run concurrently (they share this
@@ -176,7 +172,6 @@ class MatrixServer:
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         max_vectors: int = DEFAULT_MAX_VECTORS,
-        panel_width: int = DEFAULT_PANEL_WIDTH,
         job_workers: int = 1,
         request_deadline_ms: int | None = None,
         join_timeout: float = 5.0,
@@ -198,7 +193,6 @@ class MatrixServer:
         self.metrics = registry.metrics
         self.stats = ServeStats(metrics=self.metrics)
         self.max_vectors = int(max_vectors)
-        self.panel_width = int(panel_width)
         self.request_deadline_ms = request_deadline_ms
         self.join_timeout = float(join_timeout)
         self._c_leaked_threads = self.metrics.counter(
@@ -237,6 +231,8 @@ class MatrixServer:
         self._httpd.daemon_threads = True
         self._httpd.app = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        #: whether a serve loop was started, which ``close`` must stop.
+        self._serving = False
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -255,10 +251,12 @@ class MatrixServer:
 
     def serve_forever(self) -> None:
         """Block serving requests until :meth:`close` (or Ctrl-C)."""
+        self._serving = True
         self._httpd.serve_forever()
 
     def start(self) -> MatrixServer:
         """Serve on a daemon thread and return immediately (for tests)."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, daemon=True
         )
@@ -271,9 +269,13 @@ class MatrixServer:
         A serve thread that fails to join within ``join_timeout`` (a
         request wedged past shutdown) is counted in
         ``repro_server_leaked_threads_total`` (``leaked_threads`` in
-        ``/stats``) and logged instead of silently leaking.
+        ``/stats``) and logged instead of silently leaking.  A server
+        that never served closes at once.
         """
-        self._httpd.shutdown()
+        if self._serving:
+            # ``shutdown`` waits for the serve loop to stop, so on a
+            # server whose loop never ran it would wait forever.
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=self.join_timeout)
@@ -435,10 +437,7 @@ class MatrixServer:
                     "multiply.kernel", matrix=name, op=op,
                     k=int(panel.shape[1]),
                 ):
-                    result = multiply(
-                        matrix, panel, executor=self.executor,
-                        panel_width=self.panel_width,
-                    )
+                    result = multiply(matrix, panel, executor=self.executor)
             except _RequestError:
                 self.stats.record(name, None, error=True)
                 raise

@@ -27,12 +27,13 @@ this module:
     lockstep and each cold shard is loaded, decoded and planned once
     per scan.
 
-Multiplication is scatter-gather over the row partition: right
-multiplication fans the operand out to every shard and concatenates
-the per-shard results; left multiplication slices the operand by shard
-row range and sums the per-shard row vectors.  ``executor`` (a
-persistent :class:`repro.serve.executor.BlockExecutor`) runs the
-per-shard work concurrently.
+Multiplication is scatter-gather over the row partition, through each
+shard's own kernel hook: right multiplication fans the operand out to
+every shard, which writes its rows of the result; left multiplication
+slices the operand by shard row range and sums the per-shard row
+vectors.  ``executor`` (a persistent
+:class:`repro.serve.executor.BlockExecutor`) runs the per-shard work
+concurrently.
 """
 
 from __future__ import annotations
@@ -149,48 +150,36 @@ class _ShardFanout(MatrixFormat):
     def _after_shard(self, i: int) -> None:
         """Hook after a sequential shard visit (base: no-op)."""
 
-    def _right_vector(self, x: np.ndarray, executor) -> np.ndarray:
-        parts = self._map_shards(lambda s, _i: s.right_multiply(x), executor)
-        return np.concatenate(parts)
-
-    def _left_vector(self, y: np.ndarray, executor) -> np.ndarray:
-        parts = self._map_shards(
-            lambda s, i: s.left_multiply(
-                y[self._offsets[i] : self._offsets[i + 1]]
+    def _right(self, x: np.ndarray, out, executor) -> np.ndarray:
+        # Each shard writes its row slice of ``out`` through its own
+        # hook: the operands were validated once, at the public entry.
+        if out is None:
+            out = np.empty((self._shape[0],) + x.shape[1:], dtype=np.float64)
+        self._map_shards(
+            lambda s, i: s._right(
+                x, out[self._offsets[i] : self._offsets[i + 1]], None
             ),
             executor,
         )
-        out = np.zeros(self._shape[1], dtype=np.float64)
+        return out
+
+    def _left(self, y: np.ndarray, out, executor) -> np.ndarray:
+        # The parts are summed in shard order once the pass ends, so the
+        # result is bit-identical whatever shard the scan started at;
+        # the call holds one part per shard until then.
+        parts = self._map_shards(
+            lambda s, i: s._left(
+                y[self._offsets[i] : self._offsets[i + 1]], None, None
+            ),
+            executor,
+        )
+        if out is None:
+            out = np.zeros((self._shape[1],) + y.shape[1:], dtype=np.float64)
+        else:
+            out[...] = 0.0
         for p in parts:
             out += p
         return out
-
-    def _right_panel(self, panel, out, executor, panel_width) -> None:
-        # One pass per call: each shard gets the whole panel and chunks
-        # it by ``panel_width`` itself, so its decode runs once.
-        self._map_shards(
-            lambda s, i: s.right_multiply_matrix(
-                panel,
-                out=out[self._offsets[i] : self._offsets[i + 1]],
-                panel_width=panel_width,
-            ),
-            executor,
-        )
-
-    def _left_panel(self, panel, out, executor, panel_width) -> None:
-        # The parts are summed in shard order once the pass ends, so the
-        # result is bit-identical whatever shard the scan started at;
-        # the call holds one ``(n_cols, k)`` part per shard until then.
-        parts = self._map_shards(
-            lambda s, i: s.left_multiply_matrix(
-                panel[self._offsets[i] : self._offsets[i + 1]],
-                panel_width=panel_width,
-            ),
-            executor,
-        )
-        out[:] = 0.0
-        for p in parts:
-            out += p
 
     # -- shared accounting ----------------------------------------------------------
 
@@ -363,8 +352,14 @@ class LazyShardedMatrix(_ShardFanout):
     :class:`~repro.resilience.policy.CircuitBreaker` per shard: a
     failed load raises :class:`~repro.errors.ShardUnavailableError`,
     and a shard whose breaker is open is *quarantined* — it fails fast
-    until the breaker half-opens and a probe load succeeds.  The
-    matrix keeps serving work that avoids quarantined shards.
+    until the breaker half-opens and a probe load succeeds.  A shard
+    whose decoded shape is not its manifest entry's ``(n_rows,
+    n_cols)`` fails its load with
+    :class:`~repro.errors.SerializationError`, as a CRC mismatch does
+    (no retry, one breaker failure, a 503 when served): the kernels
+    slice operands by the manifest's row offsets and do not check a
+    shard's shape again.  The matrix keeps serving work that avoids
+    quarantined shards.
     ``residency.state(matrix)`` reads ``healthy`` / ``degraded`` /
     ``quarantined`` from the shard breakers, and
     ``residency.stats()`` counts shard loads, evictions, retries and
@@ -428,7 +423,8 @@ class LazyShardedMatrix(_ShardFanout):
             return self._view
 
     def _load_shard(self, i: int):
-        """One load attempt: read, fault hook, deadline check, decode.
+        """One load attempt: read, fault hook, deadline check, decode,
+        and the decoded shard's shape against its manifest entry.
 
         In mmap mode the section is a zero-copy slice of the shared
         mapped view and its CRC footer is still verified
@@ -439,6 +435,8 @@ class LazyShardedMatrix(_ShardFanout):
         alive (and any arrays handed out stay valid) through their
         ``.base`` chain until nothing references it.
         """
+        from repro.io.serialize import check_shard_shape, loads_matrix
+
         entry = self._manifest[i]
         with span("shard.load", shard=i, mmap=self._mmap):
             if self._mmap:
@@ -447,19 +445,19 @@ class LazyShardedMatrix(_ShardFanout):
                 check_deadline(f"shard {i} load of {self._path}")
                 from repro.io.mmap_io import loads_section_mmap
 
-                return loads_section_mmap(
+                shard = loads_section_mmap(
                     section, source=f"{self._path}#shard{i}"
                 )
-            with open(self._path, "rb") as fh:
-                fh.seek(entry.offset)
-                blob = fh.read(entry.length)
-            blob = _faults.on_read(
-                _faults.SITE_SHARD_LOAD, f"{self._path}#shard{i}", blob
-            )
-            check_deadline(f"shard {i} load of {self._path}")
-            from repro.io.serialize import loads_matrix
-
-            return loads_matrix(blob)
+            else:
+                with open(self._path, "rb") as fh:
+                    fh.seek(entry.offset)
+                    blob = fh.read(entry.length)
+                blob = _faults.on_read(
+                    _faults.SITE_SHARD_LOAD, f"{self._path}#shard{i}", blob
+                )
+                check_deadline(f"shard {i} load of {self._path}")
+                shard = loads_matrix(blob)
+            return check_shard_shape(shard, entry, self._shape[1])
 
     def _shard(self, i: int):
         """Shard ``i`` from the residency, loaded when cold.
@@ -521,29 +519,17 @@ class LazyShardedMatrix(_ShardFanout):
         self.residency.unpin((self, i))
         self.residency.trim()
 
-    # -- budget hooks on the public kernel surface ------------------------------------
+    # -- budget hooks on the kernels ------------------------------------------------
 
-    def right_multiply(self, x, executor=None) -> np.ndarray:
+    def _right(self, x: np.ndarray, out, executor) -> np.ndarray:
         try:
-            return super().right_multiply(x, executor=executor)
+            return super()._right(x, out, executor)
         finally:
             self.residency.trim()
 
-    def left_multiply(self, y, executor=None) -> np.ndarray:
+    def _left(self, y: np.ndarray, out, executor) -> np.ndarray:
         try:
-            return super().left_multiply(y, executor=executor)
-        finally:
-            self.residency.trim()
-
-    def right_multiply_matrix(self, x_block, **kwargs) -> np.ndarray:
-        try:
-            return super().right_multiply_matrix(x_block, **kwargs)
-        finally:
-            self.residency.trim()
-
-    def left_multiply_matrix(self, y_block, **kwargs) -> np.ndarray:
-        try:
-            return super().left_multiply_matrix(y_block, **kwargs)
+            return super()._left(y, out, executor)
         finally:
             self.residency.trim()
 

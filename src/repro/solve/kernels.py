@@ -28,23 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 
-#: Panel width the panel kernels chunk to, bounding the grammar
-#: engine's ``(|R|, k)`` workspace (same default as the serving layer).
-DEFAULT_PANEL_WIDTH = 64
-
-
-def _call_kernel(method, operand, executor):
-    """One protocol kernel call, with a duck-typing fallback.
-
-    Objects outside this package that expose plain ``right_multiply(x)``
-    (no ``executor``) remain solvable.
-    """
-    try:
-        return method(operand, executor=executor)
-    except TypeError:
-        return method(operand)
-
-
 class SolveKernels:
     """The multiplication surface one solver run iterates over.
 
@@ -52,7 +35,8 @@ class SolveKernels:
     ----------
     matrix:
         Any :class:`repro.formats.MatrixFormat` (or duck-typed object
-        with ``shape``/``right_multiply``/``left_multiply``).
+        with ``shape`` and ``right_multiply`` / ``left_multiply`` /
+        panel entries that take ``executor=``, as the protocol's do).
     executor:
         Captured once; forwarded to every kernel call.  A
         :class:`repro.serve.executor.BlockExecutor` shared across the
@@ -62,20 +46,15 @@ class SolveKernels:
         Enable multiplication-plan retention on the matrix before the
         first iteration (default ``True``).  A no-op for formats with
         nothing to retain.
-    panel_width:
-        Chunk width of the panel kernels (``None`` = unchunked).
+
+    Each panel product is one kernel call, whatever its width: the
+    kernels bound their own workspace (the grammar engine runs wide
+    panels in :data:`~repro.core.multiply.PANEL_COLUMNS`-column chunks).
     """
 
-    def __init__(
-        self,
-        matrix,
-        executor=None,
-        retain_plans: bool = True,
-        panel_width: int | None = DEFAULT_PANEL_WIDTH,
-    ):
+    def __init__(self, matrix, executor=None, retain_plans: bool = True):
         self.matrix = matrix
         self.executor = executor
-        self.panel_width = panel_width
         n, m = matrix.shape
         self.n_rows, self.n_cols = int(n), int(m)
         if retain_plans:
@@ -95,11 +74,11 @@ class SolveKernels:
 
     def right(self, x: np.ndarray) -> np.ndarray:
         """``A x`` — vector of length ``n_rows``."""
-        return _call_kernel(self.matrix.right_multiply, x, self.executor)
+        return self.matrix.right_multiply(x, executor=self.executor)
 
     def left(self, y: np.ndarray) -> np.ndarray:
         """``yᵗ A`` (equivalently ``Aᵗ y``) — vector of length ``n_cols``."""
-        return _call_kernel(self.matrix.left_multiply, y, self.executor)
+        return self.matrix.left_multiply(y, executor=self.executor)
 
     def gram(self, x: np.ndarray, normalize: bool = False) -> np.ndarray:
         """The Gram product ``Aᵗ A x`` (two protocol kernels, no ``AᵗA``).
@@ -143,10 +122,7 @@ class SolveKernels:
         if out is None:
             out = self._panel_out("right", self.n_rows, panel.shape[1])
         return self.matrix.right_multiply_matrix(
-            panel,
-            out=out,
-            executor=self.executor,
-            panel_width=self.panel_width,
+            panel, out=out, executor=self.executor
         )
 
     def left_panel(self, panel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -155,10 +131,7 @@ class SolveKernels:
         if out is None:
             out = self._panel_out("left", self.n_cols, panel.shape[1])
         return self.matrix.left_multiply_matrix(
-            panel,
-            out=out,
-            executor=self.executor,
-            panel_width=self.panel_width,
+            panel, out=out, executor=self.executor
         )
 
     def gram_panel(self, panel: np.ndarray, normalize: bool = False) -> np.ndarray:

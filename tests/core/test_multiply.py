@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.csrv import CSRVMatrix
 from repro.core.grammar import Grammar
-from repro.core.multiply import MvmEngine
+from repro.core.multiply import PANEL_COLUMNS, MvmEngine
 from repro.core.repair import repair_compress
 from repro.errors import MatrixFormatError
 
@@ -117,6 +117,35 @@ class TestEngineStructure:
         assert np.allclose(engine.right(x), [14.0, 14.0])
         y = np.array([1.0, 10.0])
         assert np.allclose(engine.left(y), [22.0, 22.0])
+
+
+    @pytest.mark.parametrize("op", ["right", "left"])
+    def test_wide_panel_runs_in_bounded_passes(
+        self, structured_matrix, rng, op, monkeypatch
+    ):
+        """No pass reads a stacked vector wider than ``PANEL_COLUMNS``."""
+        engine = _engine_for(structured_matrix)
+        widths = []
+
+        def recording(kernel):
+            def run(self, rows, src, dst):
+                widths.append(src.shape[1] if src.ndim == 2 else 1)
+                return kernel(self, rows, src, dst)
+
+            return run
+
+        for name in ("_csr", "_csc"):
+            monkeypatch.setattr(MvmEngine, name, recording(getattr(MvmEngine, name)))
+        k = 2 * PANEL_COLUMNS + 1
+        n, m = structured_matrix.shape
+        operand = rng.standard_normal((m if op == "right" else n, k))
+        want = (structured_matrix if op == "right" else structured_matrix.T) @ operand
+        out = np.full(want.shape, np.nan)
+        assert getattr(engine, op)(operand, out=out) is out
+        assert np.allclose(out, want)
+        assert np.allclose(getattr(engine, op)(operand), want)
+        assert max(widths) == PANEL_COLUMNS
+        assert min(widths) == 1  # the last pass holds the 129th column
 
 
 class TestOperatorEdgeCases:

@@ -2,8 +2,9 @@
 
 Parametrized over :func:`repro.formats.available`, so any future
 registration is automatically held to the same contract: lossless
-roundtrip against dense, panel-vs-loop kernel equivalence, ``out=``
-aliasing, operator sugar, serialization, and size accounting.
+roundtrip against dense, panel-vs-loop kernel equivalence (exact for a
+one-column panel), ``out=`` aliasing, operator sugar, serialization,
+and size accounting.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import repro
 from repro import formats
+from repro.core.multiply import PANEL_COLUMNS
 from repro.errors import MatrixFormatError
 from repro.io.serialize import (
     loads_matrix,
@@ -95,15 +97,28 @@ class TestProtocolConformance:
         assert np.allclose(matrix.right_multiply_matrix(X), loop_right)
         assert np.allclose(matrix.left_multiply_matrix(Y), loop_left)
 
+    def test_vector_is_one_column_panel(self, built, dense):
+        """A vector and a one-column panel run the same kernel, exactly."""
+        _, matrix = built
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(dense.shape[1])
+        y = rng.standard_normal(dense.shape[0])
+        assert np.array_equal(
+            matrix.right_multiply(x), matrix.right_multiply_matrix(x[:, None])[:, 0]
+        )
+        assert np.array_equal(
+            matrix.left_multiply(y), matrix.left_multiply_matrix(y[:, None])[:, 0]
+        )
+
     def test_panel_width_chunking(self, built, dense):
+        """Panels wider than the grammar engine's pass width match dense."""
         _, matrix = built
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((dense.shape[1], 7))
-        assert np.allclose(
-            matrix.right_multiply_matrix(X, panel_width=3), dense @ X
-        )
-        with pytest.raises(MatrixFormatError):
-            matrix.right_multiply_matrix(X, panel_width=0)
+        k = 2 * PANEL_COLUMNS + 1
+        X = rng.standard_normal((dense.shape[1], k))
+        Y = rng.standard_normal((dense.shape[0], k))
+        assert np.allclose(matrix.right_multiply_matrix(X), dense @ X)
+        assert np.allclose(matrix.left_multiply_matrix(Y), dense.T @ Y)
 
     def test_out_aliasing(self, built, dense):
         """``out=`` receives the result in place and is returned."""
@@ -209,20 +224,12 @@ class TestBatchDispatch:
             assert np.allclose(
                 batch_right_multiply(matrix, X, executor=ex), dense @ X
             )
-            # Chunked requests run each format's own chunked kernel.
-            for panel_width in (None, 2):
-                assert np.allclose(
-                    batch_right_multiply(
-                        matrix, X5, executor=ex, panel_width=panel_width
-                    ),
-                    dense @ X5,
-                )
-                assert np.allclose(
-                    batch_left_multiply(
-                        matrix, Y5, executor=ex, panel_width=panel_width
-                    ),
-                    dense.T @ Y5,
-                )
+            assert np.allclose(
+                batch_right_multiply(matrix, X5, executor=ex), dense @ X5
+            )
+            assert np.allclose(
+                batch_left_multiply(matrix, Y5, executor=ex), dense.T @ Y5
+            )
 
 
 class TestEdgeInputs:

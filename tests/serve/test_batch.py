@@ -8,6 +8,7 @@ from repro.cla import CLAMatrix
 from repro.core.blocked import BLOCK_FORMATS, BlockedMatrix
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import VARIANTS, GrammarCompressedMatrix
+from repro.core.multiply import PANEL_COLUMNS
 from repro.errors import MatrixFormatError
 from repro.serve.batch import as_panel, batch_left_multiply, batch_right_multiply
 
@@ -74,25 +75,13 @@ class TestPanelEquality:
 class TestPanelOptions:
     def test_panel_width_chunks_match(self, structured_matrix, rng):
         gm = GrammarCompressedMatrix.compress(structured_matrix, variant="re_32")
-        x = rng.standard_normal((structured_matrix.shape[1], 10))
-        assert np.allclose(
-            batch_right_multiply(gm, x, panel_width=3), structured_matrix @ x
-        )
-        assert np.allclose(
-            batch_left_multiply(
-                gm,
-                rng.standard_normal((structured_matrix.shape[0], 9)),
-                panel_width=4,
-            ).shape,
-            (structured_matrix.shape[1], 9),
-        )
-
-    def test_bad_panel_width(self, structured_matrix):
-        gm = GrammarCompressedMatrix.compress(structured_matrix)
-        with pytest.raises(MatrixFormatError):
-            batch_right_multiply(
-                gm, np.ones((structured_matrix.shape[1], 2)), panel_width=0
-            )
+        k = 2 * PANEL_COLUMNS + 1
+        x = rng.standard_normal((structured_matrix.shape[1], k))
+        assert np.allclose(batch_right_multiply(gm, x), structured_matrix @ x)
+        y = rng.standard_normal((structured_matrix.shape[0], k))
+        left = batch_left_multiply(gm, y)
+        assert left.shape == (structured_matrix.shape[1], k)
+        assert np.allclose(left, structured_matrix.T @ y)
 
     def test_executor_forwarded(self, structured_matrix, rng):
         from repro.serve.executor import BlockExecutor
@@ -124,10 +113,10 @@ class TestPanelOptions:
             return original(self)
 
         monkeypatch.setattr(GrammarCompressedMatrix, "_get_engine", counting)
-        x = rng.standard_normal((structured_matrix.shape[1], 12))
-        result = batch_right_multiply(gm, x, panel_width=3)
+        x = rng.standard_normal((structured_matrix.shape[1], 130))
+        result = batch_right_multiply(gm, x)
         assert np.allclose(result, structured_matrix @ x)
-        assert len(builds) == 1  # one re_ans decode for all 4 chunks
+        assert len(builds) == 1  # one re_ans decode for all 3 chunks
 
 
 class TestAsPanel:

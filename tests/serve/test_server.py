@@ -201,7 +201,7 @@ class TestMultiply:
                 {"matrix": "m", "vectors": batch.tolist()},
             )
             assert status == 400 and "limit is 4" in body["error"]
-            # At the limit it still answers (chunked to panel_width).
+            # At the limit it still answers.
             status, body = _post(
                 f"{server.url}/multiply",
                 {"matrix": "m", "vectors": batch[:4].tolist()},
@@ -376,3 +376,38 @@ class TestStatsAndEviction:
         assert _post(url, {"matrix": "small", "vectors": [1.0, 2.0]})[0] == 400
         _, stats = _get(f"{server.url}/stats")
         assert stats["matrices"]["small"]["errors"] == 1
+
+
+class TestLifecycle:
+    """``close`` returns, and releases the port, on a server that never served."""
+
+    @pytest.fixture
+    def registry(self, tmp_path, rng):
+        dense = make_structured(rng, n=20, m=6)
+        save_matrix(GrammarCompressedMatrix.compress(dense), tmp_path / "m.gcmx")
+        return MatrixRegistry(root=tmp_path)
+
+    @staticmethod
+    def _returns_within(fn, timeout: float = 5.0) -> bool:
+        import threading
+
+        thread = threading.Thread(target=fn, daemon=True)
+        thread.start()
+        thread.join(timeout=timeout)
+        return not thread.is_alive()
+
+    def test_close_without_start(self, registry):
+        import socket
+
+        server = MatrixServer(registry, port=0)
+        host, port = server.host, server.port
+        assert self._returns_within(server.close)
+        with socket.socket() as sock:
+            sock.bind((host, port))  # the port was released
+
+    def test_context_manager_without_start(self, registry):
+        def enter_and_exit():
+            with MatrixServer(registry, port=0):
+                pass
+
+        assert self._returns_within(enter_and_exit)

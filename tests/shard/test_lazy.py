@@ -50,6 +50,81 @@ class TestManifest:
             read_shard_manifest(path)
 
 
+@pytest.fixture
+def mismatched(tmp_path, rng):
+    """A container whose three ``re_32`` sections hold 5, 3 and 4 rows
+    under a manifest that claims 4, 4 and 4, with valid CRCs."""
+    from repro.core.gcm import GrammarCompressedMatrix
+    from repro.io.serialize import (
+        KIND_SHARDED,
+        _header,
+        _put_shape,
+        encode_uvarint,
+        saves_matrix,
+    )
+    from repro.resilience.integrity import append_footer
+    from tests.conftest import make_structured
+
+    dense = make_structured(rng, n=12, m=6)
+    blobs = [
+        saves_matrix(GrammarCompressedMatrix.compress(dense[lo:hi], variant="re_32"))
+        for lo, hi in ((0, 5), (5, 8), (8, 12))
+    ]
+    payload = _put_shape(dense.shape) + encode_uvarint(len(blobs))
+    for blob in blobs:  # sharded_payload's layout, with the claimed counts
+        payload += encode_uvarint(4) + encode_uvarint(len(blob))
+    path = tmp_path / "bad.gcmx"
+    path.write_bytes(
+        append_footer(_header(KIND_SHARDED) + payload + b"".join(blobs))
+    )
+    return path, dense
+
+
+class TestManifestShapeMismatch:
+    """A section whose shape disagrees with its manifest entry is a
+    corrupt container: it fails typed at load, never as the caller's
+    operand error or a wrong answer."""
+
+    def test_eager_load_rejects(self, mismatched):
+        from repro.errors import SerializationError
+        from repro.io.serialize import load_matrix
+
+        path, _ = mismatched
+        with pytest.raises(SerializationError, match="manifest"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("op", ["right", "left"])
+    def test_lazy_shard_load_fails_typed(self, mismatched, op):
+        from repro.errors import SerializationError, ShardUnavailableError
+
+        path, dense = mismatched
+        lazy = LazyShardedMatrix(path)
+        multiply = lazy.right_multiply if op == "right" else lazy.left_multiply
+        operand = np.ones(dense.shape[1] if op == "right" else dense.shape[0])
+        with pytest.raises(ShardUnavailableError) as excinfo:
+            multiply(operand)
+        assert isinstance(excinfo.value.__cause__, SerializationError)
+        stats = lazy.residency.stats()
+        assert stats["shard_retries"] == 0  # not an OSError: no retry
+        assert stats["shard_failures"] == 1  # counted by the breaker
+
+    def test_served_answers_503_with_retry_after(self, mismatched):
+        from repro.serve.server import MatrixServer
+        from tests.resilience.conftest import http_post
+
+        path, dense = mismatched
+        registry = MatrixRegistry(root=path.parent)
+        with MatrixServer(registry, port=0).start() as server:
+            for op, length in (("right", dense.shape[1]), ("left", dense.shape[0])):
+                status, body, headers = http_post(
+                    f"{server.url}/multiply",
+                    {"matrix": "bad", "op": op, "vectors": [[1.0] * length]},
+                )
+                assert status == 503, (op, body)
+                assert "manifest" in body["error"]
+                assert int(headers["Retry-After"]) >= 1
+
+
 class TestLazyLoading:
     def test_nothing_loaded_at_construction(self, container):
         path, _ = container
@@ -73,7 +148,7 @@ class TestLazyLoading:
         path, _ = container
         lazy = LazyShardedMatrix(path)
         X = rng.standard_normal((dense.shape[1], 5))
-        assert np.allclose(lazy.right_multiply_matrix(X, panel_width=2), dense @ X)
+        assert np.allclose(lazy.right_multiply_matrix(X), dense @ X)
 
     def test_to_dense(self, container, dense):
         path, _ = container
@@ -324,12 +399,12 @@ def mnist_re_ans(tmp_path_factory):
 
 
 def _panel_op(matrix, op: str, k: int, dense, rng):
-    """One ``panel_width=64`` panel multiply and its dense reference."""
+    """One panel multiply and its dense reference."""
     if op == "right":
         X = rng.standard_normal((dense.shape[1], k))
-        return matrix.right_multiply_matrix(X, panel_width=64), dense @ X
+        return matrix.right_multiply_matrix(X), dense @ X
     Y = rng.standard_normal((dense.shape[0], k))
-    return matrix.left_multiply_matrix(Y, panel_width=64), dense.T @ Y
+    return matrix.left_multiply_matrix(Y), dense.T @ Y
 
 
 class TestPanelPasses:

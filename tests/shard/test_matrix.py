@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro import formats
+from repro.core.multiply import PANEL_COLUMNS
 from repro.errors import MatrixFormatError
 from repro.io.serialize import (
     loads_matrix,
@@ -101,10 +102,9 @@ class TestMultiplication:
         assert np.allclose(
             sharded.left_multiply_matrix(Y), dense.T @ Y
         )
-        # chunked panels reuse one kernel build
-        assert np.allclose(
-            sharded.right_multiply_matrix(X, panel_width=2), dense @ X
-        )
+        # wide panels run in the grammar engine's column chunks
+        X = rng.standard_normal((dense.shape[1], 2 * PANEL_COLUMNS + 1))
+        assert np.allclose(sharded.right_multiply_matrix(X), dense @ X)
 
     def test_threads_and_executor_paths(self, sharded, dense, rng):
         x = rng.standard_normal(dense.shape[1])
@@ -126,7 +126,7 @@ class TestMultiplication:
         from repro.serve.batch import batch_left_multiply, batch_right_multiply
 
         vectors = rng.standard_normal((4, dense.shape[1]))
-        out = batch_right_multiply(sharded, vectors, panel_width=2)
+        out = batch_right_multiply(sharded, vectors)
         assert np.allclose(out, dense @ vectors.T)
         with BlockExecutor(2) as executor:
             out = batch_right_multiply(sharded, vectors, executor=executor)

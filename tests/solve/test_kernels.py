@@ -102,13 +102,35 @@ class TestPlanRetention:
         class Bare:
             shape = dense.shape
 
-            def right_multiply(self, x):
+            def right_multiply(self, x, executor=None):
                 return dense @ x
 
-            def left_multiply(self, y):
+            def left_multiply(self, y, executor=None):
                 return y @ dense
 
         kernels = SolveKernels(Bare())
         x = rng.standard_normal(dense.shape[1])
         np.testing.assert_allclose(kernels.right(x), dense @ x)
         np.testing.assert_allclose(kernels.gram(x), dense.T @ (dense @ x))
+
+
+class TestKernelErrors:
+    @pytest.mark.parametrize("op", ["right", "left"])
+    def test_type_error_propagates_after_one_call(self, dense, op):
+        """A kernel's own ``TypeError`` is not retried without the executor."""
+        from repro.baselines import DenseMatrix
+
+        calls = []
+
+        class Raising(DenseMatrix):
+            def _right(self, x, out, executor):
+                calls.append(executor)
+                raise TypeError("kernel bug")
+
+            _left = _right
+
+        kernels = SolveKernels(Raising(dense), executor="EXEC")
+        operand = np.ones(dense.shape[1] if op == "right" else dense.shape[0])
+        with pytest.raises(TypeError, match="kernel bug"):
+            getattr(kernels, op)(operand)
+        assert calls == ["EXEC"]
