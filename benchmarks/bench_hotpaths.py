@@ -34,11 +34,15 @@ root):
 - **rans** — microseconds per symbol of the ``re_ans`` entropy coder
   on fixed streams of three lengths (:data:`RANS_STREAMS`; the length
   of ``C`` sets the lane count and so the decode's step count): the
-  array-LEB128 header parse, the interleaved-lane payload decode, the
-  single-state payload decode of the same symbols (the layout older
-  files hold), and ``ans_compress``.  ``--check-baseline`` fails
-  unless the laned decode beats the single-state one by
-  :data:`RANS_MIN_SPEEDUP` on every stream.
+  array-LEB128 header parse, the interleaved-lane payload decode and
+  the single-state payload decode of the same symbols in the unfolded
+  64-lane layout (the layouts older files hold), ``ans_compress``, and
+  the whole ``ans_decompress`` of the folded blob ``ans_compress``
+  writes for the stream, with its bytes, lanes and steps.
+  ``--check-baseline`` fails unless the laned decode beats the
+  single-state one by :data:`RANS_MIN_SPEEDUP` on every stream, and
+  unless the folded decode of the longest stream takes no longer per
+  symbol than its laned payload decode.
 
 Run as a script::
 
@@ -344,28 +348,48 @@ def bench_rans(repeats: int) -> dict:
 
 def _bench_rans_stream(n: int, repeats: int) -> dict:
     from repro.encoders.rans import (
+        DEFAULT_SCALE_BITS,
+        LANED_MARK,
         InterleavedRansDecoder,
+        InterleavedRansEncoder,
         RansDecoder,
         RansEncoder,
         ans_compress,
+        ans_decompress,
         lane_count,
+        normalize_frequencies,
         read_ans_header,
     )
+    from repro.encoders.varint import decode_uvarint, encode_uvarints
 
     rng = np.random.default_rng(RANS_SEED)
     ids = np.sort(rng.choice(1 << 20, size=n, replace=False))
     values = ids[rng.integers(0, n, size=n)]
-    blob = ans_compress(values)
+    # ans_compress folds these streams; the header and both payload
+    # decodes keep timing the unfolded layout, written here directly.
+    alphabet, dense = np.unique(values, return_inverse=True)
+    dense = dense.ravel()
+    scale_bits = max(DEFAULT_SCALE_BITS, (alphabet.size - 1).bit_length())
+    freqs = normalize_frequencies(np.bincount(dense), scale_bits)
+    blob = encode_uvarints(
+        np.concatenate([
+            [n, scale_bits + LANED_MARK, alphabet.size],
+            np.diff(alphabet, prepend=0),
+            freqs,
+        ])
+    ) + InterleavedRansEncoder(freqs, scale_bits).encode(dense)
     header = read_ans_header(blob)
     payload = blob[header.offset :]
-    dense = np.searchsorted(header.alphabet, values)
-    single = RansEncoder(header.freqs, header.scale_bits).encode(dense)
-    table = (header.freqs, header.scale_bits)
+    single = RansEncoder(freqs, scale_bits).encode(dense)
+    table = (freqs, scale_bits)
+    folded = ans_compress(values)
+    folded_lanes = decode_uvarint(folded, read_ans_header(folded).offset)[0]
     cases = {
         "header": lambda: read_ans_header(blob),
         "laned_decode": lambda: InterleavedRansDecoder(*table).decode(payload, n),
         "single_decode": lambda: RansDecoder(*table).decode(single, n),
         "encode": lambda: ans_compress(values),
+        "folded_decode": lambda: ans_decompress(folded),
     }
     rounds = repeats * max(1, max(RANS_STREAMS) // n)
     best = dict.fromkeys(cases, float("inf"))
@@ -373,6 +397,7 @@ def _bench_rans_stream(n: int, repeats: int) -> dict:
         for name, fn in cases.items():
             best[name] = min(best[name], _time_once(fn)[0])
     assert np.array_equal(header.alphabet[cases["laned_decode"]()], values)
+    assert np.array_equal(cases["folded_decode"](), values)
     out = {
         "symbols": n,
         "rounds": rounds,
@@ -381,6 +406,9 @@ def _bench_rans_stream(n: int, repeats: int) -> dict:
         "lanes": lane_count(n),
         "laned_bytes": len(blob),
         "single_state_bytes": header.offset + len(single),
+        "folded_bytes": len(folded),
+        "folded_lanes": folded_lanes,
+        "folded_steps": -(-n // folded_lanes),
     }
     for name, seconds in best.items():
         out[f"{name}_us_per_symbol"] = 1e6 * seconds / n
@@ -475,7 +503,10 @@ def run(profiles, warm_iters: int, cold_reps: int, cold_start=None,
                 f"{rans['single_decode_us_per_symbol']:.3f} "
                 f"(x{rans['laned_speedup']:.1f}), encode "
                 f"{rans['encode_us_per_symbol']:.3f}; "
-                f"{rans['laned_bytes']} vs {rans['single_state_bytes']} bytes"
+                f"{rans['laned_bytes']} vs {rans['single_state_bytes']} bytes; "
+                f"folded {rans['folded_bytes']} bytes, {rans['folded_lanes']} "
+                f"lanes of {rans['folded_steps']} steps, decode "
+                f"{rans['folded_decode_us_per_symbol']:.3f}"
             )
     return report
 
@@ -504,6 +535,17 @@ OBS_OVERHEAD_FLOOR_SECONDS = 5e-6
 #: stream by this factor (x1.4, x3.1 and x3.8 in BENCH_hotpaths.json).
 #: A 500-symbol stream is 16 steps of 32 lanes, so it need only not lose.
 RANS_MIN_SPEEDUP = {500: 1.0, 2000: 2.0, 8192: 2.0}
+
+#: The folded gate runs on the longest stream only: there the whole
+#: folded decode (header, 16 steps over 512 lanes, the unfold) must take
+#: no longer per symbol than the payload decode of the unfolded stream
+#: (64 lanes of 128 steps).  A stream of up to 1024 symbols has one lane
+#: per 16 symbols folded or not, so folding buys its decode no steps and
+#: adds the unfold: the 500-symbol stream's whole folded decode is
+#: slower than its unfolded header and payload decode, and the
+#: 2000-symbol one (125 lanes against 64) is faster than those two
+#: together but not than the payload decode alone.
+RANS_FOLDED_GATED_SYMBOLS = 8192
 
 
 #: The panel gate is self-relative: in each profile, the warm grammar
@@ -580,6 +622,14 @@ def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> int:
                 f"x{rans['laned_speedup']:.2f} faster than single-state "
                 f"{rans['single_decode_us_per_symbol']:.3f}us/symbol — "
                 f"limit x{need:g}"
+            )
+        folded = rans["folded_decode_us_per_symbol"]
+        laned = rans["laned_decode_us_per_symbol"]
+        if rans["symbols"] == RANS_FOLDED_GATED_SYMBOLS and folded > laned:
+            failures.append(
+                f"rans ({rans['symbols']} symbols): folded decode "
+                f"{folded:.3f}us/symbol is slower than the laned decode "
+                f"{laned:.3f}us/symbol"
             )
     if failures:
         print("PERF REGRESSION against", baseline_path, file=sys.stderr)

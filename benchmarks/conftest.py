@@ -15,8 +15,7 @@ file                                        paper artefact
 
 ``pytest benchmarks/ --benchmark-only`` times the underlying operations;
 running a file as a script (``python benchmarks/bench_table1_compression.py``)
-prints the full paper-style table (these are the outputs recorded in
-EXPERIMENTS.md).
+prints the full paper-style table to stdout; nothing records it.
 
 Matrices are scaled-down synthetics (see ``repro.datasets``); the row
 counts below keep the whole suite in the minutes range while leaving

@@ -14,10 +14,13 @@ output ``(C, R, V)``:
     the access overhead the paper observes for this variant.
 ``re_ans``
     ``R`` bit-packed as above; ``C`` entropy-coded with the
-    large-alphabet rANS coder (:mod:`repro.encoders.rans`).  Every
-    multiplication first entropy-decodes all of ``C`` (vectorised, but
-    still the costliest decode of the three) — the paper's explanation
-    for ``re_ans`` being the smallest but slowest variant.
+    large-alphabet rANS coder (:mod:`repro.encoders.rans`), which
+    folds large symbols into a small model as the paper's ans-fold
+    coder does, so ``C`` may hold any number of distinct symbols.
+    Every multiplication first entropy-decodes all of ``C`` (vectorised
+    over up to one rANS lane per 16 symbols, but still the costliest
+    decode of the three) — the paper's explanation for ``re_ans`` being
+    the smallest but slowest variant.
 
 All variants store ``V`` as raw 8-byte doubles, as in the paper.
 """

@@ -2,7 +2,8 @@
 
 Each :class:`MatrixProfile` records (a) the real dataset's headline
 statistics from Table 1 of the paper, (b) the published compression
-ratios (kept for EXPERIMENTS.md's paper-vs-measured comparison), and
+ratios (the benchmark scripts print them beside the measured ones, to
+stdout), and
 (c) the generator parameters that make the synthetic stand-in exhibit
 the same compression-relevant structure:
 

@@ -80,9 +80,7 @@ def encode_uvarints(values) -> bytes:
             f"uvarint cannot encode negative value {int(arr.min())}"
         )
     v = arr.astype(np.uint64).ravel()
-    lengths = np.ones(v.size, dtype=np.intp)
-    for threshold in _THRESHOLDS[_THRESHOLDS <= v.max(initial=0)]:
-        lengths += v >= threshold
+    lengths = _uvarint_lengths(v)
     starts = np.cumsum(lengths) - lengths
     out = np.empty(int(starts[-1] + lengths[-1]) if v.size else 0, dtype=np.uint8)
     # Byte k of every varint longer than k, one pass per byte position.
@@ -92,6 +90,24 @@ def encode_uvarints(values) -> bytes:
         more = (lengths[idx] > k + 1).view(np.uint8) << 7
         out[starts[idx] + k] = low | more
     return out.tobytes()
+
+
+def uvarints_size(values) -> int:
+    """Bytes :func:`encode_uvarints` writes for ``values``, without
+    writing them.
+
+    >>> uvarints_size([1, 300, 0])
+    4
+    """
+    return int(_uvarint_lengths(np.asarray(values).astype(np.uint64).ravel()).sum())
+
+
+def _uvarint_lengths(v: np.ndarray) -> np.ndarray:
+    """LEB128 length in bytes of every value of a ``uint64`` array."""
+    lengths = np.ones(v.size, dtype=np.intp)
+    for threshold in _THRESHOLDS[_THRESHOLDS <= v.max(initial=0)]:
+        lengths += v >= threshold
+    return lengths
 
 
 def decode_uvarints(data, offset: int, count: int) -> tuple[np.ndarray, int]:

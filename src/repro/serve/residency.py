@@ -23,7 +23,9 @@ under one optional byte budget:
   and units charged 0 (a lazy matrix itself: evicting it frees
   nothing).  So the loaded units hold at most the budget, plus one
   pinned unit per concurrent request, plus one kept unit larger than
-  the budget.
+  the budget.  An evicted whole matrix is never published again, so
+  the shards a pass still running over an evicted lazy view loads go
+  back to that pass and are not kept.
 - **pins** — a pass over a lazy matrix pins the shard it visits, and
   :meth:`Residency.unpin` waits for the other passes visiting it,
   which keeps overlapping passes in lockstep.
@@ -43,6 +45,7 @@ a private one with no budget.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
@@ -135,6 +138,9 @@ class Residency:
         self._pins: dict[Key, int] = {}
         self._inflight: dict[Key, threading.Event] = {}
         self._breakers: dict[Key, CircuitBreaker] = {}
+        #: evicted whole matrices: the units a pass still running over
+        #: one of them (a lazy view's shards) loads are never kept.
+        self._retired: weakref.WeakSet[Any] = weakref.WeakSet()
         m = metrics if metrics is not None else MetricsRegistry()
         self.matrix_counts = UnitCounters(*(
             m.counter(f"repro_registry_{name}_total", text) for name, text in (
@@ -189,9 +195,10 @@ class Residency:
             charge = resident_estimate(value)
             with self._lock:
                 self._counts(key).loads.inc()
-                # A discard of the owner during the load cancelled it:
-                # the caller gets the value, the residency keeps nothing.
-                if self._inflight.get(key) is flight:
+                # A discard of the owner during the load cancelled it,
+                # and an evicted owner is never served again: the
+                # caller gets the value, the residency keeps nothing.
+                if self._inflight.get(key) is flight and key[0] not in self._retired:
                     self._units[key] = (value, charge)
                     self._total += charge
             return value
@@ -313,10 +320,12 @@ class Residency:
     def discard(self, owner: Hashable, breakers: bool = False) -> int:
         """Evict every loaded unit of ``owner``; return how many.
 
-        Loads of ``owner``'s units still in flight publish nothing.
-        With ``breakers``, the owner's breakers go too, so none outlives
-        the matrix it guarded (a re-registered name may point at a
-        replaced, healthy file).
+        Loads of ``owner``'s units still in flight publish nothing, and
+        an evicted whole matrix keeps none of the units loaded for it
+        later (the shards a pass over an evicted lazy view still
+        loads).  With ``breakers``, the owner's breakers go too, so
+        none outlives the matrix it guarded (a re-registered name may
+        point at a replaced, healthy file).
         """
         with self._lock:
             keys = [k for k in self._units if k[0] == owner]
@@ -334,6 +343,9 @@ class Residency:
         value, charge = self._units.pop(key)
         self._total -= charge
         self._counts(key).evictions.inc()
+        if key[1] is None and isinstance(value, Hashable):
+            # Units are keyed by their owner: only a hashable one has any.
+            self._retired.add(value)
         # The budget charged the unit's retained plans, so they must
         # not outlive it in the shared plan cache; a lazy matrix
         # discards its shards here.

@@ -50,6 +50,21 @@ class TestCompression:
         assert gm.n_rules <= 2
         assert np.array_equal(gm.to_dense(), structured_matrix)
 
+    def test_re_ans_final_string_past_2_16_distinct_symbols(self, rng):
+        """``optical`` at 5000 rows: batch RePair leaves 77,775 distinct
+        symbols in a ``C`` of 452,652, more than a model of one
+        frequency per symbol can quantise; the folded coder stores it."""
+        from repro.datasets import get_dataset
+
+        dense = get_dataset("optical", n_rows=5000).matrix
+        gm = GrammarCompressedMatrix.compress(dense, variant="re_ans", strategy="batch")
+        final = gm.decode_grammar().final
+        assert np.unique(final).size > 1 << 16
+        x = rng.standard_normal(dense.shape[1])
+        y = rng.standard_normal(dense.shape[0])
+        assert np.allclose(gm.right_multiply(x), dense @ x)
+        assert np.allclose(gm.left_multiply(y), y @ dense)
+
 
 class TestMultiplication:
     def test_right_matches_dense(self, structured_matrix, variant, rng):

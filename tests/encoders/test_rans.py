@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core.entropy import empirical_entropy
 from repro.encoders.rans import (
+    FOLDED_MARK,
     LANED_MARK,
+    MAX_FOLDED_LANES,
     InterleavedRansDecoder,
     InterleavedRansEncoder,
     RansDecoder,
@@ -19,7 +21,7 @@ from repro.encoders.rans import (
     normalize_frequencies,
     read_ans_header,
 )
-from repro.encoders.varint import encode_uvarint, encode_uvarints
+from repro.encoders.varint import decode_uvarint, encode_uvarint, encode_uvarints
 from repro.errors import EncodingError
 
 
@@ -138,6 +140,13 @@ class TestAnsBlob:
         with pytest.raises(EncodingError):
             ans_compress(np.array([-1, 2]))
 
+    @pytest.mark.parametrize("values", [np.arange(50) % 3, np.arange(3000) << 20])
+    def test_scale_bits_past_the_header_limit_rejected(self, values):
+        """The layout field holds at most ``MAX_SCALE_BITS``, laned or
+        folded."""
+        with pytest.raises(EncodingError):
+            ans_compress(values, scale_bits=17)
+
     def test_scale_bits_auto_raised(self):
         # 5000 distinct symbols cannot fit into 2^12 slots; the coder
         # must raise the quantisation transparently.
@@ -177,11 +186,31 @@ def test_property_blob_roundtrip(values):
     assert np.array_equal(ans_decompress(ans_compress(arr)), arr)
 
 
+def laned_blob(values, scale_bits: int = 12) -> bytes:
+    """``values`` in the laned layout, as :func:`ans_compress` wrote
+    every stream before it folded any: the symbols themselves as the
+    alphabet, in :func:`lane_count` lanes."""
+    values = np.asarray(values, dtype=np.int64).ravel()
+    alphabet, dense = np.unique(values, return_inverse=True)
+    counts = np.bincount(dense.ravel(), minlength=alphabet.size)
+    while alphabet.size > (1 << scale_bits):
+        scale_bits += 1
+    freqs = normalize_frequencies(counts, scale_bits) if alphabet.size else counts
+    head = encode_uvarints(
+        np.concatenate([
+            [values.size, scale_bits + LANED_MARK, alphabet.size],
+            np.diff(alphabet, prepend=0),
+            freqs,
+        ])
+    )
+    return head + InterleavedRansEncoder(freqs, scale_bits).encode(dense.ravel())
+
+
 def single_state_blob(values, scale_bits: int = 12) -> bytes:
     """``values`` in the single-state layout :func:`ans_compress` wrote
     before the interleaved one: the same header without the layout mark,
     then a :class:`RansEncoder` payload."""
-    laned = ans_compress(values, scale_bits=scale_bits)
+    laned = laned_blob(values, scale_bits=scale_bits)
     header = read_ans_header(laned)
     head = bytearray(laned[: header.offset])
     head[len(encode_uvarint(header.n))] -= LANED_MARK
@@ -209,6 +238,83 @@ class TestLaneCount:
     def test_short_streams_take_few_steps(self):
         for n in range(1, 64 * 16 + 1):
             assert -(-n // lane_count(n)) <= 16
+
+
+def lanes_of(blob: bytes) -> int:
+    return decode_uvarint(blob, read_ans_header(blob).offset)[0]
+
+
+class TestFold:
+    def test_alphabet_past_2_16_symbols(self):
+        """100,000 distinct symbols: more than an unfolded model's
+        2^16 slots can hold."""
+        values = np.random.default_rng(16).permutation(np.arange(100_000) * 3 + 1)
+        blob = ans_compress(values)
+        assert read_ans_header(blob).fold is not None
+        assert np.array_equal(ans_decompress(blob), values)
+
+    def test_streams_folding_would_not_shrink_stay_laned_byte_for_byte(self):
+        rng = np.random.default_rng(17)
+        for values in (
+            rng.integers(0, 90, size=1500),
+            np.minimum(rng.zipf(2.0, size=5000), 300),
+            np.full(3000, 1 << 50),
+            rng.choice(1 << 40, size=300)[rng.integers(0, 300, size=20_000)],
+        ):
+            assert ans_compress(values) == laned_blob(values)
+
+    def test_a_shard_sized_stream_decodes_in_16_steps(self):
+        """A ``C`` like a serving shard's (7.5k symbols: frequent small
+        ids, and about half distinct 17-bit ones) saves enough to take
+        one lane per 16 symbols."""
+        rng = np.random.default_rng(18)
+        values = np.concatenate([
+            rng.zipf(1.5, size=3750) % 512,
+            rng.integers(1 << 16, 1 << 17, size=3750),
+        ])
+        rng.shuffle(values)
+        blob = ans_compress(values)
+        assert read_ans_header(blob).fold is not None
+        assert lanes_of(blob) == -(-7500 // 16)
+        assert len(blob) < len(laned_blob(values))
+
+    def test_lanes_stop_at_the_cap(self):
+        values = np.random.default_rng(19).integers(0, 1 << 30, size=20 * MAX_FOLDED_LANES)
+        blob = ans_compress(values)
+        assert lanes_of(blob) == MAX_FOLDED_LANES
+        assert np.array_equal(ans_decompress(blob), values)
+
+    def test_lanes_spend_no_more_than_the_fold_saved(self):
+        """Folding 300 rare 30-bit ids out of a skewed 20,000-symbol
+        stream saves a few hundred bytes: enough for some more lanes,
+        not for one per 16 symbols, and the stream still shrinks."""
+        rng = np.random.default_rng(20)
+        values = np.concatenate([
+            np.minimum(rng.zipf(1.6, size=20_000), 200),
+            rng.integers(1 << 29, 1 << 30, size=300),
+        ])
+        rng.shuffle(values)
+        blob = ans_compress(values)
+        assert read_ans_header(blob).fold is not None
+        assert lane_count(values.size) < lanes_of(blob) < -(-values.size // 16)
+        assert len(blob) <= len(laned_blob(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6000),
+    bits=st.integers(min_value=1, max_value=62),
+    skew=st.floats(min_value=1.05, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_folded_streams_round_trip_and_never_grow(n, bits, skew, seed):
+    rng = np.random.default_rng(seed)
+    values = (rng.zipf(skew, size=n) * rng.integers(1, 1 << bits)) % (1 << bits)
+    values[rng.integers(0, n, size=n // 2)] = rng.integers(0, 1 << bits, size=n // 2)
+    blob = ans_compress(values)
+    assert np.array_equal(ans_decompress(blob), values)
+    assert len(blob) <= len(laned_blob(values))
+    assert lanes_of(blob) >= lane_count(n)
 
 
 class TestInterleavedCore:
@@ -265,13 +371,44 @@ class TestLayouts:
         assert ans_recode(laned) == laned
         assert ans_recode(single_state_blob(values)) == laned
 
+    def test_recode_folds_the_older_layouts_when_folding_shrinks(self):
+        values = np.random.default_rng(14).integers(0, 1 << 22, size=3000)
+        folded = ans_compress(values)
+        assert read_ans_header(folded).fold is not None
+        assert ans_recode(laned_blob(values)) == folded
+        assert ans_recode(single_state_blob(values)) == folded
+        assert ans_recode(folded) == folded
+
+    def test_recode_drops_a_scale_raised_only_for_the_alphabet(self):
+        """5045 distinct symbols: the older layouts had to raise the
+        scale to 13, the buckets of the fold fit the default 12, and a
+        recoded blob is what a fresh ans_compress writes."""
+        rng = np.random.default_rng(21)
+        values = np.concatenate([
+            rng.zipf(1.5, size=2500) % 512,
+            rng.integers(1 << 16, 1 << 17, size=5000),
+        ])
+        rng.shuffle(values)
+        laned = laned_blob(values)
+        assert read_ans_header(laned).scale_bits == 13
+        folded = ans_compress(values)
+        assert read_ans_header(folded).scale_bits == 12
+        assert ans_recode(laned) == folded
+        assert ans_recode(single_state_blob(values)) == folded
+
+    def test_ans_compress_marks_the_folded_layout(self):
+        blob = ans_compress(np.random.default_rng(15).integers(0, 1 << 22, size=3000))
+        header = read_ans_header(blob)
+        assert header.laned and header.fold is not None
+        assert blob[2] == header.scale_bits + FOLDED_MARK  # after uvarint n=3000
+
     def test_recode_keeps_a_custom_scale(self):
         values = np.random.default_rng(9).integers(0, 20, size=700)
         recoded = ans_recode(single_state_blob(values, scale_bits=14))
         assert read_ans_header(recoded).scale_bits == 14
         assert recoded == ans_compress(values, scale_bits=14)
 
-    @pytest.mark.parametrize("layout", [17, 31, LANED_MARK + 17])
+    @pytest.mark.parametrize("layout", [17, 31, LANED_MARK + 17, FOLDED_MARK + 17])
     def test_unknown_layout_rejected(self, layout):
         blob = bytearray(ans_compress(np.arange(50) % 3))
         blob[1] = layout
@@ -292,6 +429,10 @@ class TestLayouts:
             ans_decompress(head + b"\x01" + bytes(4))
 
 
+#: The layouts :func:`ans_decompress` reads.
+LAYOUTS = ["laned", "single", "folded"]
+
+
 class TestEndOfStream:
     """A damaged stream fails instead of decoding to other symbols."""
 
@@ -299,27 +440,47 @@ class TestEndOfStream:
     def values(self):
         return np.random.default_rng(10).integers(0, 300, size=4000) * 5
 
+    @pytest.fixture
+    def wide(self):
+        """4000 symbols :func:`ans_compress` folds: 22-bit ids, nearly
+        all distinct."""
+        return np.random.default_rng(10).integers(0, 1 << 22, size=4000)
+
+    @staticmethod
+    def encoded(layout, values, wide) -> tuple[np.ndarray, bytes]:
+        """``(symbols, blob)`` of a 4000-symbol stream in ``layout``."""
+        if layout == "folded":
+            blob = ans_compress(wide)
+            assert read_ans_header(blob).fold is not None
+            return wide, blob
+        if layout == "laned":
+            blob = ans_compress(values)
+            assert blob == laned_blob(values)  # folding would not shrink it
+            return values, blob
+        return values, single_state_blob(values)
+
     @staticmethod
     def edited(blob: bytes, edit) -> bytes:
         data = bytearray(blob)
         edit(data, read_ans_header(blob))
         return bytes(data)
 
-    @pytest.mark.parametrize("layout", ["laned", "single"])
-    def test_intact(self, values, layout):
-        blob = ans_compress(values) if layout == "laned" else single_state_blob(values)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_intact(self, values, wide, layout):
+        values, blob = self.encoded(layout, values, wide)
         assert np.array_equal(ans_decompress(blob), values)
 
-    @pytest.mark.parametrize("layout", ["laned", "single"])
-    def test_flipped_payload_bits(self, values, layout):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_flipped_payload_bits(self, values, wide, layout):
         """The end-of-stream checks are not a checksum: a flip that moves
         a state to the same offset of an equally frequent symbol
         resynchronises after one wrong symbol.  They catch nearly every
-        other flip, in either layout."""
-        blob = ans_compress(values) if layout == "laned" else single_state_blob(values)
-        start = read_ans_header(blob).offset
+        other flip of the coded symbols, in every layout."""
+        values, blob = self.encoded(layout, values, wide)
+        header = read_ans_header(blob)
+        start, end = header.offset, len(blob) - header.raw_bytes
         caught = 0
-        for i in range(start, len(blob), 5):
+        for i in range(start, end, 5):
             data = bytearray(blob)
             data[i] ^= 1 << (i % 8)
             try:
@@ -328,22 +489,81 @@ class TestEndOfStream:
                 caught += 1
             else:
                 assert decoded.size == values.size
-        assert caught >= 0.95 * len(range(start, len(blob), 5))
+        assert caught >= 0.95 * len(range(start, end, 5))
 
-    @pytest.mark.parametrize("layout", ["laned", "single"])
+    def test_flipped_side_stream_bit_changes_one_symbol(self, wide):
+        """Raw bits are stored as they are: a flip inside the side
+        stream changes the low bits of exactly one symbol."""
+        blob = ans_compress(wide)
+        for i in range(len(blob) - read_ans_header(blob).raw_bytes, len(blob) - 1, 97):
+            data = bytearray(blob)
+            data[i] ^= 1 << (i % 8)
+            assert np.count_nonzero(ans_decompress(bytes(data)) != wide) == 1
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("extra", [b"\0", b"\0\0", b"\x12\x34\x56\x78"])
-    def test_trailing_bytes(self, values, layout, extra):
-        blob = ans_compress(values) if layout == "laned" else single_state_blob(values)
+    def test_trailing_bytes(self, values, wide, layout, extra):
+        _values, blob = self.encoded(layout, values, wide)
         with pytest.raises(EncodingError):
             ans_decompress(blob + extra)
 
-    @pytest.mark.parametrize("layout", ["laned", "single"])
-    def test_truncated(self, values, layout):
-        blob = ans_compress(values) if layout == "laned" else single_state_blob(values)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_truncated(self, values, wide, layout):
+        _values, blob = self.encoded(layout, values, wide)
         header = read_ans_header(blob)
         for cut in (header.offset + 1, header.offset + 5, len(blob) - 2, len(blob) - 1):
             with pytest.raises(EncodingError):
                 ans_decompress(blob[:cut])
+
+    @staticmethod
+    def with_side_stream(blob: bytes, field: int, side: bytes) -> bytes:
+        """``blob`` with ``side`` as its side stream and ``field`` in the
+        header's side-stream length."""
+        header = read_ans_header(blob)
+        start = header.offset - len(encode_uvarint(header.raw_bytes))
+        lanes = blob[header.offset : len(blob) - header.raw_bytes]
+        return blob[:start] + encode_uvarint(field) + lanes + side
+
+    @pytest.mark.parametrize("damage", ["short", "over_long", "length_field", "padding"])
+    def test_damaged_side_stream(self, wide, damage):
+        """The side stream must hold exactly the raw bits the buckets
+        call for: a byte fewer or more, a wrong length field, and a bit
+        set in the padding all fail."""
+        blob = ans_compress(wide)
+        header = read_ans_header(blob)
+        side, raw = blob[len(blob) - header.raw_bytes :], header.raw_bytes
+        fold_bits, lead_bits = header.fold
+        raw_bits = sum(
+            int(v).bit_length() - 1 - lead_bits for v in wide if v >> fold_bits
+        )
+        assert raw == -(-raw_bits // 8) and raw_bits % 8  # the last byte is padded
+        damaged = {
+            "short": lambda: self.with_side_stream(blob, raw - 1, side[:-1]),
+            "over_long": lambda: self.with_side_stream(blob, raw + 1, side + b"\0"),
+            "length_field": lambda: self.with_side_stream(blob, raw + 1, side),
+            "padding": lambda: blob[:-1] + bytes([blob[-1] | 0x80]),
+        }[damage]()
+        with pytest.raises(EncodingError):
+            ans_decompress(damaged)
+
+    def test_raw_widths_near_64_bits(self):
+        """Symbols of up to 63 bits fold into raw widths up to 61 bits,
+        which straddle the side stream's 64-bit words."""
+        rng = np.random.default_rng(12)
+        values = np.concatenate([
+            rng.integers(1 << 40, 1 << 62, size=3000, dtype=np.int64),
+            rng.integers(0, 40, size=500),
+            [np.iinfo(np.int64).max, 1 << 40, (1 << 62) + 12345],
+        ])
+        rng.shuffle(values)
+        blob = ans_compress(values)
+        header = read_ans_header(blob)
+        assert header.fold is not None
+        assert np.array_equal(ans_decompress(blob), values)
+        with pytest.raises(EncodingError):
+            ans_decompress(self.with_side_stream(
+                blob, header.raw_bytes - 8, blob[len(blob) - header.raw_bytes : -8]
+            ))
 
     def test_empty_stream_with_payload_rejected(self):
         with pytest.raises(EncodingError):
@@ -424,10 +644,18 @@ def test_property_alphabets_forcing_each_scale(scale_bits, extra, seed):
     sigma = int(rng.integers(low, (1 << scale_bits) + 1))
     dense = np.concatenate([np.arange(sigma), rng.integers(0, sigma, size=extra)])
     values = 3 * rng.permutation(dense) + 1
-    blob = ans_compress(values)
+    blob = laned_blob(values)
     assert read_ans_header(blob).scale_bits == scale_bits
     assert np.array_equal(ans_decompress(blob), values)
     assert_within_lane_overhead(values, blob)
+    # ans_compress folds most such alphabets, into fewer slots; folded
+    # or not, it is no larger than the laned blob, so within the same
+    # lane overhead, and a stream it leaves unfolded is that blob.
+    compressed = ans_compress(values)
+    assert np.array_equal(ans_decompress(compressed), values)
+    assert len(compressed) <= len(blob)
+    if read_ans_header(compressed).fold is None:
+        assert compressed == blob
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,10 +1,14 @@
-"""re_ans payloads on disk: legacy single-state files and corrupt streams.
+"""re_ans payloads on disk: legacy layouts and corrupt streams.
 
-``tests/fixtures/legacy_re_ans*.gcmx`` were written by the release
-before the interleaved-lane rANS layout, with their dense sources saved
-beside them as ``.npy``: a plain ``re_ans`` matrix and a 2-shard
-``re_ans`` container.  They must keep loading, bit for bit, on every
-path a stored matrix is read through.
+``tests/fixtures/legacy_re_ans.gcmx`` and ``legacy_re_ans_sharded.gcmx``
+were written by the release before the interleaved-lane rANS layout,
+``legacy_re_ans_laned.gcmx`` and ``legacy_re_ans_laned_sharded.gcmx``
+by the last release before the folded layout (64-lane and 47/48-lane
+streams), each with its dense source saved beside it as ``.npy``: a
+plain ``re_ans`` matrix and a 2-shard ``re_ans`` container.  They must
+keep loading, bit for bit, on every path a stored matrix is read
+through, and saving them again writes what :func:`ans_compress` writes
+now.
 """
 
 from pathlib import Path
@@ -14,8 +18,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.gcm import GrammarCompressedMatrix
-from repro.encoders.rans import read_ans_header
-from repro.encoders.varint import encode_uvarint
+from repro.encoders.rans import ans_compress, lane_count, read_ans_header
+from repro.encoders.varint import decode_uvarint, encode_uvarint
 from repro.errors import TruncatedPayloadError
 from repro.io.serialize import (
     load_matrix,
@@ -31,6 +35,7 @@ from repro.shard import LazyShardedMatrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 LEGACY = ("legacy_re_ans", "legacy_re_ans_sharded")
+LANED = ("legacy_re_ans_laned", "legacy_re_ans_laned_sharded")
 
 
 def grammar_units(matrix) -> list:
@@ -105,6 +110,84 @@ class TestLegacyFixtures:
             assert np.array_equal(
                 old.decode_grammar().final, new.decode_grammar().final
             )
+
+
+@pytest.fixture(params=LANED)
+def laned(request):
+    """``(path, dense source)`` of one laned-layout fixture."""
+    name = request.param
+    return FIXTURES / f"{name}.gcmx", np.load(FIXTURES / f"{name}.npy")
+
+
+class TestLanedFixtures:
+    """The unfolded laned layout, on the same paths as the single-state
+    fixtures above."""
+
+    def test_fixtures_hold_unfolded_laned_streams(self, laned):
+        path, _ = laned
+        for unit in grammar_units(load_matrix(path)):
+            header = read_ans_header(unit._c_storage)
+            assert unit.variant == "re_ans"
+            assert header.laned and header.fold is None
+            lanes = decode_uvarint(unit._c_storage, header.offset)[0]
+            assert lanes == lane_count(header.n) > 1
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_loads_bit_identically(self, laned, mmap):
+        path, dense = laned
+        assert np.array_equal(load_matrix(path, mmap=mmap).to_dense(), dense)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_right_and_left_multiply_match_dense(self, laned, mmap, rng):
+        path, dense = laned
+        matrix = load_matrix(path, mmap=mmap)
+        x = rng.standard_normal(dense.shape[1])
+        y = rng.standard_normal(dense.shape[0])
+        assert np.allclose(matrix.right_multiply(x), dense @ x)
+        assert np.allclose(matrix.left_multiply(y), y @ dense)
+
+    def test_peek_reports_the_header(self, laned):
+        path, dense = laned
+        info = peek_matrix_info(path.read_bytes())
+        assert info["shape"] == dense.shape
+        assert info["integrity"] == "verified"
+
+    def test_repro_verify_passes(self, laned, capsys):
+        path, _ = laned
+        assert cli_main(["verify", str(path)]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_lazy_shards_under_a_one_shard_budget(self, mmap, rng):
+        path = FIXTURES / "legacy_re_ans_laned_sharded.gcmx"
+        dense = np.load(FIXTURES / "legacy_re_ans_laned_sharded.npy")
+        shards = load_matrix(path).shards
+        one_shard = min(s.size_bytes() for s in shards)
+        lazy = LazyShardedMatrix(path, residency=Residency(one_shard), mmap=mmap)
+        x = rng.standard_normal(dense.shape[1])
+        y = rng.standard_normal(dense.shape[0])
+        assert np.allclose(lazy.right_multiply(x), dense @ x)
+        assert np.allclose(lazy.left_multiply(y), y @ dense)
+        assert lazy.resident_shards <= 1
+        assert lazy.residency.stats()["shard_loads"] >= 3  # shards streamed back in
+
+    def test_resaving_writes_the_current_layout(self, laned, tmp_path):
+        """Saving again folds these streams, which shrinks them."""
+        path, dense = laned
+        legacy_matrix = load_matrix(path)
+        out = tmp_path / path.name
+        save_matrix(legacy_matrix, out)
+        resaved = load_matrix(out)
+        assert np.array_equal(resaved.to_dense(), dense)
+        for old, new in zip(
+            grammar_units(legacy_matrix), grammar_units(resaved), strict=True
+        ):
+            final = old.decode_grammar().final
+            assert np.array_equal(final, new.decode_grammar().final)
+            assert bytes(new._c_storage) == ans_compress(final)
+            assert read_ans_header(new._c_storage).fold is not None
+            assert len(new._c_storage) < len(old._c_storage)
+        assert out.stat().st_size < path.stat().st_size
 
 
 def footerless_blob(matrix: GrammarCompressedMatrix, c_storage: bytes) -> bytes:

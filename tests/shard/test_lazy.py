@@ -470,6 +470,41 @@ class TestEvictionDuringLoad:
         assert lazy.residency.stats()["shard_loads"] == 3
         assert lazy.resident_shards == 0
 
+    def test_registry_evict_mid_pass_keeps_no_orphaned_shards(
+        self, tmp_path, rng, monkeypatch
+    ):
+        """``registry.evict`` while a pass loads shard 3 of 8: the pass
+        still answers, and the shards it loads after the evict go back
+        to it instead of staying resident, charged to a view nothing
+        serves any more."""
+        from repro.datasets import get_dataset
+        from repro.store import MatrixStore
+
+        dense = get_dataset("mnist2m", n_rows=160).matrix[:, :160]
+        store = MatrixStore(tmp_path / "store")
+        store.add("web", build_sharded(dense, n_shards=8, format="re_ans"))
+        registry = MatrixRegistry(store=store, mmap=True)
+        original = LazyShardedMatrix._load_shard
+        evicted = []
+
+        def evicting_load(view, i):
+            shard = original(view, i)
+            if i == 3 and not evicted:
+                evicted.append(registry.evict("web"))
+            return shard
+
+        monkeypatch.setattr(LazyShardedMatrix, "_load_shard", evicting_load)
+        old_view = registry.get("web")
+        x = rng.standard_normal(dense.shape[1])
+        assert np.allclose(old_view.right_multiply(x), dense @ x)
+        assert evicted == [True]
+        stats = registry.stats()
+        assert stats["resident_shards"] == 0
+        assert stats["resident_bytes"] == 0
+        assert registry.residency.loaded(old_view) == []
+        assert np.allclose(registry.get("web").right_multiply(x), dense @ x)
+        assert registry.stats()["resident_shards"] == 8
+
 
 # -- shared scans: overlapping requests on one lazily served matrix ---------------------
 
