@@ -84,7 +84,7 @@ def run(dataset: str, n_rows: int, workers: int, repeats: int) -> dict:
             rows.append(
                 {
                     "n_shards": n_shards,
-                    "formats": list(plan.formats),
+                    "formats": list(sharded.shard_formats),
                     "size_bytes": sharded.size_bytes(),
                     "build_seconds_sequential": build_seq,
                     "build_seconds_parallel": build_par,

@@ -50,8 +50,8 @@ Package map
   memory model;
 - :mod:`repro.io` — lossless serialization for every registered format;
 - :mod:`repro.shard` — row-sharded compression: per-shard format
-  selection by density profile, scatter-gather multiply, and lazy
-  shard-by-shard serving;
+  selection (the smallest encoding after one RePair run),
+  scatter-gather multiply, and lazy shard-by-shard serving;
 - :mod:`repro.solve` — compressed-domain iterative solvers (power
   iteration, PageRank, CG/ridge, top-k subspace) over the protocol
   kernels; callable as ``repro.solve(matrix, algorithm=..., ...)``;

@@ -20,9 +20,11 @@ Commands
     groups) on a real :class:`repro.serve.executor.BlockExecutor` pool.
 ``shard IN.npy OUT.gcmx``
     Split a dense matrix into row shards, compress each shard
-    independently (``--format`` for one format everywhere, default
-    per-shard selection by density profile), and write one sharded
-    container file.  ``--workers N`` compresses shards in parallel.
+    independently (``--format`` for one format everywhere; by default
+    each shard keeps the smallest encoding after one RePair run, the
+    Section 4.2 choice blocked ``auto`` makes per block), and write one
+    sharded container file.  ``--workers N`` compresses shards in
+    parallel.
 ``solve ALGO FILE.gcmx``
     Run a named iterative algorithm (``power``, ``pagerank``, ``cg``,
     ``ridge``, ``topk`` — see :mod:`repro.solve`) on a compressed
@@ -201,13 +203,12 @@ def _cmd_shard(args) -> int:
     save_matrix(sharded, args.output)
     _maybe_catalog(args, provenance={"command": "shard", "input": args.input})
     rows = [
-        [d["shard"], d["rows"], d["format"], f"{d['density']:.1%}",
-         f"{sharded.shards[d['shard']].size_bytes():,}"]
-        for d in plan.describe()
+        [d["shard"], d["rows"], shard.format_name, f"{shard.size_bytes():,}"]
+        for d, shard in zip(plan.describe(), sharded.shards, strict=True)
     ]
     print(
         format_table(
-            ["shard", "rows", "format", "density", "bytes"],
+            ["shard", "rows", "format", "bytes"],
             rows,
             title=f"{args.input} -> {args.output} ({plan.n_shards} shards)",
         )
@@ -655,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--format", default=None, choices=formats.available(),
-        help="one format for every shard (default: per-shard selection "
-        "by density profile)",
+        help="one format for every shard (default: each shard keeps the "
+        "smallest of csrv, re_32, re_iv and re_ans after one RePair run)",
     )
     p.add_argument(
         "--workers", type=int, default=1,

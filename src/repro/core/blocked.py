@@ -13,11 +13,18 @@ multiplications in parallel:
 That is the scatter-gather of :class:`repro.shard.ShardedMatrix`, so
 :class:`BlockedMatrix` is a sharded matrix whose blocks share one ``V``:
 the multiply kernels, the ``executor`` fan-out, plan retention and the
-shape checks are inherited.  What is its own is
-construction (grammar, plain ``csrv`` and per-block ``auto`` blocks —
-the uncompressed baseline of Table 2 runs through the same code path),
-size accounting with ``V`` counted once, and the ``blocked``
-serialization codec, which stores ``V`` once.
+shape checks are inherited.  What is its own is construction, size
+accounting with ``V`` counted once, and the ``blocked`` serialization
+codec, which stores ``V`` once.
+
+:func:`compress_part` compresses one row partition in one format, or
+keeps the smallest encoding per partition (Section 4.2).  It is the
+only way a row partition is compressed: the blocks of
+:meth:`BlockedMatrix.compress` (the uncompressed ``csrv`` baseline of
+Table 2 included), the blocks of
+:func:`repro.reorder.pipeline.compress_with_reordering`, where the
+Section 5.3 per-block column permutations now live, and every shard of
+:func:`repro.shard.build_sharded` whose plan leaves the format open.
 """
 
 from __future__ import annotations
@@ -26,15 +33,55 @@ import numpy as np
 
 from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import GrammarCompressedMatrix, VARIANTS
+from repro.core.repair import repair_compress
 from repro.errors import MatrixFormatError
 from repro.shard.matrix import ShardedMatrix
 
-#: Representations accepted by :meth:`BlockedMatrix.compress`.
-#: ``auto`` picks the smallest of all formats per block — the Section
-#: 4.2 avenue ("use different compressors to compress different blocks,
-#: or use the CSRV representation for the blocks which are hard to
-#: compress").
+#: Formats accepted by :func:`compress_part`.  ``auto`` keeps the
+#: smallest of the others per partition — the Section 4.2 avenue ("use
+#: different compressors to compress different blocks, or use the CSRV
+#: representation for the blocks which are hard to compress").
 BLOCK_FORMATS = ("csrv",) + VARIANTS + ("auto",)
+
+
+def compress_part(
+    part: CSRVMatrix,
+    format: str,
+    min_frequency: int = 2,
+    max_rules: int | None = None,
+    strategy: str = "exact",
+) -> CSRVMatrix | GrammarCompressedMatrix:
+    """Compress one row partition (a block or a shard) in ``format``.
+
+    ``csrv`` returns ``part`` itself.  A grammar variant runs RePair
+    once over ``part.s`` with the given options and stores the grammar
+    in that encoding.  ``auto`` runs RePair once and keeps the candidate
+    with the smallest ``size_bytes()`` among ``csrv``, ``re_32``,
+    ``re_iv`` and ``re_ans``, compared in that order, so a tie keeps
+    the earlier one.  Every candidate references ``part.values``, so
+    ``V`` does not change the ranking.  Plain CSR is no candidate: its
+    ``12·nnz + 4(n+1)`` bytes always exceed CSRV's ``4(nnz + n) + 8|V|``,
+    because ``|V| ≤ nnz``.
+    """
+    if format not in BLOCK_FORMATS:
+        raise MatrixFormatError(
+            f"unknown block format {format!r}; expected one of {BLOCK_FORMATS}"
+        )
+    if format == "csrv":
+        return part
+    grammar = repair_compress(
+        part.s, min_frequency=min_frequency, max_rules=max_rules,
+        strategy=strategy,
+    )
+
+    def encode(variant: str) -> GrammarCompressedMatrix:
+        return GrammarCompressedMatrix.from_grammar(
+            grammar, part.values, part.shape, variant
+        )
+
+    if format != "auto":
+        return encode(format)
+    return min([part, *map(encode, VARIANTS)], key=lambda m: m.size_bytes())
 
 
 class BlockedMatrix(ShardedMatrix):
@@ -62,10 +109,10 @@ class BlockedMatrix(ShardedMatrix):
         n_blocks: int = 1,
         min_frequency: int = 2,
         max_rules: int | None = None,
-        column_orders: list | None = None,
         strategy: str = "exact",
     ) -> BlockedMatrix:
-        """Partition ``source`` into row blocks and compress each one.
+        """Partition ``source`` into row blocks and compress each one
+        with :func:`compress_part`.
 
         Parameters
         ----------
@@ -74,120 +121,20 @@ class BlockedMatrix(ShardedMatrix):
             uncompressed in CSRV form).
         n_blocks:
             Number of row blocks ``b``.
-        column_orders:
-            Optional per-block column permutations (Section 5.3: each
-            block may be reordered with a different permutation).  Only
-            valid when ``source`` is a dense array; length must equal
-            the number of blocks.
         strategy:
             RePair formulation used for every grammar block (see
             :func:`repro.core.repair.repair_compress`).
         """
-        if variant not in BLOCK_FORMATS:
-            raise MatrixFormatError(
-                f"unknown block format {variant!r}; expected one of {BLOCK_FORMATS}"
-            )
-        if column_orders is not None:
-            if isinstance(source, CSRVMatrix):
-                raise MatrixFormatError(
-                    "per-block column_orders require a dense source"
-                )
-            return cls._compress_reordered(
-                np.asarray(source), variant, n_blocks, column_orders,
-                min_frequency, max_rules, strategy,
-            )
         csrv = (
             source
             if isinstance(source, CSRVMatrix)
             else CSRVMatrix.from_dense(np.asarray(source))
         )
-        parts = csrv.split_rows(n_blocks)
         blocks = [
-            cls._compress_block(p, variant, min_frequency, max_rules, strategy)
-            for p in parts
+            compress_part(p, variant, min_frequency, max_rules, strategy)
+            for p in csrv.split_rows(n_blocks)
         ]
         return cls(blocks, csrv.shape)
-
-    @classmethod
-    def _compress_reordered(
-        cls,
-        dense: np.ndarray,
-        variant: str,
-        n_blocks: int,
-        column_orders: list,
-        min_frequency: int,
-        max_rules: int | None,
-        strategy: str = "exact",
-    ) -> BlockedMatrix:
-        # One global CSRV first, so every block shares the single value
-        # array V and its code space (Section 4.1); the per-block
-        # permutations then only re-lay-out pairs inside each row.
-        csrv = CSRVMatrix.from_dense(dense)
-        parts = csrv.split_rows(n_blocks)
-        if len(column_orders) != len(parts):
-            raise MatrixFormatError(
-                f"got {len(column_orders)} column orders for {len(parts)} blocks"
-            )
-        blocks = [
-            cls._compress_block(
-                part.with_column_order(order), variant, min_frequency,
-                max_rules, strategy,
-            )
-            for part, order in zip(parts, column_orders, strict=True)
-        ]
-        return cls(blocks, dense.shape)
-
-    @staticmethod
-    def _compress_block(
-        part: CSRVMatrix,
-        variant: str,
-        min_frequency: int,
-        max_rules: int | None,
-        strategy: str = "exact",
-    ):
-        if variant == "csrv":
-            return part
-        if variant == "auto":
-            return BlockedMatrix._compress_block_auto(
-                part, min_frequency, max_rules, strategy
-            )
-        return GrammarCompressedMatrix.compress(
-            part, variant=variant, min_frequency=min_frequency,
-            max_rules=max_rules, strategy=strategy,
-        )
-
-    @staticmethod
-    def _compress_block_auto(
-        part: CSRVMatrix,
-        min_frequency: int,
-        max_rules: int | None,
-        strategy: str = "exact",
-    ):
-        """Per-block format selection (Section 4.2).
-
-        RePair runs once; the block keeps whichever physical form is
-        smallest — one of the three grammar encodings, or plain CSRV
-        when the block is too irregular for the grammar to pay off.
-        The shared array ``V`` is excluded from the comparison since
-        every candidate references the same one.
-        """
-        from repro.core.repair import repair_compress
-
-        grammar = repair_compress(
-            part.s, min_frequency=min_frequency, max_rules=max_rules,
-            strategy=strategy,
-        )
-        best = part
-        best_bytes = 4 * int(part.s.size)
-        for variant in VARIANTS:
-            candidate = GrammarCompressedMatrix.from_grammar(
-                grammar, part.values, part.shape, variant
-            )
-            parts = candidate.size_breakdown()
-            candidate_bytes = parts["C"] + parts["R"]
-            if candidate_bytes < best_bytes:
-                best, best_bytes = candidate, candidate_bytes
-        return best
 
     # -- accessors ------------------------------------------------------------------
 

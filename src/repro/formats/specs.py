@@ -164,8 +164,8 @@ register(
         cls=ShardedMatrix,
         build=build_sharded,
         kind=io.KIND_SHARDED,
-        description="row-sharded container, per-shard format by density "
-        "profile, scatter-gather MVM",
+        description="row-sharded container, per-shard smallest format "
+        "(Section 4.2), scatter-gather MVM",
         supports_plan_cache=True,
         runs_repair=True,
         supports_mmap=True,

@@ -9,35 +9,43 @@ weight matching then gives each column at most one predecessor and one
 successor; because edges are oriented ``i < j``, cycles cannot occur,
 so the matched edges decompose into disjoint chains that are
 concatenated into the final permutation.
+
+A matching on that bipartite graph is an assignment problem: with the
+strict upper triangle of the CSM as the ``m × m`` weight matrix (zero
+where there is no edge), a maximum-weight perfect assignment, less its
+zero-weight pairs, is a maximum weight matching.  scipy's compiled
+``linear_sum_assignment`` solves it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.reorder.similarity import similarity_edges
+from repro.reorder.similarity import _check_square
+
+
+def matched_pairs(csm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, right)`` column ids of a maximum weight matching: column
+    ``left[k]`` immediately precedes column ``right[k] > left[k]``."""
+    # Imported here: scipy.optimize costs tens of MB of resident memory,
+    # and ``import repro``, the CLI and the server must not pay for it.
+    from scipy.optimize import linear_sum_assignment
+
+    _check_square(csm)
+    weights = np.triu(np.clip(csm, 0.0, None), k=1)
+    left, right = linear_sum_assignment(weights, maximize=True)
+    matched = weights[left, right] > 0
+    return left[matched], right[matched]
 
 
 def matching_order(csm: np.ndarray) -> np.ndarray:
     """Column permutation from the bipartite maximum weight matching."""
-    # Imported here: MWM is the only user of networkx, which ``import
-    # repro`` and the server must not need.
-    import networkx as nx
-
+    left, right = matched_pairs(csm)
     m = csm.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(("L", i) for i in range(m))
-    graph.add_nodes_from(("R", j) for j in range(m))
-    for w, i, j in similarity_edges(csm):
-        graph.add_edge(("L", i), ("R", j), weight=w)
-    matching = nx.max_weight_matching(graph)
     successor = np.full(m, -1, dtype=np.int64)
+    successor[left] = right
     has_predecessor = np.zeros(m, dtype=bool)
-    for a, b in matching:
-        left, right = (a, b) if a[0] == "L" else (b, a)
-        i, j = left[1], right[1]
-        successor[i] = j
-        has_predecessor[j] = True
+    has_predecessor[right] = True
     order: list[int] = []
     seen = np.zeros(m, dtype=bool)
     # Chains start at columns with no predecessor; scanning starts in

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.blocked import BlockedMatrix
+from repro.core.blocked import BlockedMatrix, compress_part
 from repro.errors import MatrixFormatError
 from repro.reorder.matching import matching_order
 from repro.reorder.path_cover import path_cover_order, path_cover_plus_order
@@ -184,10 +184,9 @@ def compress_with_reordering(
                 p.with_column_order(order)
                 for p, order in zip(parts, orders, strict=True)
             ]
-        blocks = [
-            BlockedMatrix._compress_block(p, variant, 2, None) for p in laid_out
-        ]
-        compressed = BlockedMatrix(blocks, matrix.shape)
+        compressed = BlockedMatrix(
+            [compress_part(p, variant) for p in laid_out], matrix.shape
+        )
         size = compressed.size_bytes()
         sizes_by_method[method] = size
         if best_size is None or size < best_size:

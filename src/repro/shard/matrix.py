@@ -276,19 +276,24 @@ def build_sharded(
     target_bytes: int | None = None,
     format: str | None = None,
     executor=None,
-    workers: int = 1,
     **build_opts,
 ) -> ShardedMatrix:
     """Compress ``source`` into a :class:`ShardedMatrix`.
 
-    Either pass a precomputed :class:`~repro.shard.plan.ShardPlan` or
-    the planner's sizing knobs (see
-    :func:`~repro.shard.plan.plan_shards`).  Shard builds are
+    Either pass a precomputed :class:`~repro.shard.plan.ShardPlan`,
+    which carries every shard's row range, format and build options,
+    or the planner's sizing, format and build options (see
+    :func:`~repro.shard.plan.plan_shards`), never both.  A shard whose
+    plan leaves the format open is built with
+    :func:`repro.core.blocked.compress_part`'s ``auto`` choice: RePair
+    runs once and the smallest encoding is kept.  Shard builds are
     independent, so ``executor`` (a
-    :class:`repro.serve.executor.BlockExecutor`) or ``workers > 1``
-    (a transient thread pool) compresses them in parallel.
+    :class:`repro.serve.executor.BlockExecutor`) compresses them in
+    parallel.
     """
     from repro import formats as _registry
+    from repro.core.blocked import compress_part
+    from repro.core.csrv import CSRVMatrix
 
     dense = np.asarray(source, dtype=np.float64)
     if plan is None:
@@ -300,23 +305,35 @@ def build_sharded(
             format=format,
             build_opts=build_opts or None,
         )
-    elif plan.shape != dense.shape:
-        raise MatrixFormatError(
-            f"plan is for shape {plan.shape}, matrix has {dense.shape}"
-        )
+    else:
+        given = {
+            "n_shards": n_shards, "target_rows": target_rows,
+            "target_bytes": target_bytes, "format": format, **build_opts,
+        }
+        beside = [name for name, value in given.items() if value is not None]
+        if beside:
+            raise MatrixFormatError(
+                "a plan fixes every shard's rows, format and build options; "
+                f"got {', '.join(beside)} beside it"
+            )
+        if plan.shape != dense.shape:
+            raise MatrixFormatError(
+                f"plan is for shape {plan.shape}, matrix has {dense.shape}"
+            )
 
     def build_one(spec, _i):
         block = dense[spec.row_start : spec.row_stop]
+        if spec.format is None:
+            return compress_part(
+                CSRVMatrix.from_dense(block), "auto", **spec.build_opts
+            )
         return _registry.compress(block, format=spec.format, **spec.build_opts)
 
     specs = list(plan.shards)
     if executor is not None:
         shards = executor.map_blocks(build_one, specs)
     else:
-        from repro.serve.executor import BlockExecutor
-
-        with BlockExecutor(max(1, workers)) as pool:
-            shards = pool.map_blocks(build_one, specs)
+        shards = [build_one(spec, i) for i, spec in enumerate(specs)]
     return ShardedMatrix(shards, plan.shape)
 
 

@@ -1,25 +1,23 @@
-"""Row-range shard planning with per-shard format selection.
+"""Row-range shard planning.
 
 The blocked representation (Section 4.1) already splits rows, but every
-block shares one RePair run configuration and one serialized container.
-Sharding is the next scaling axis the ROADMAP calls for: each shard is
-an *independent first-class matrix* — compressed with its own format
-choice, serialized as its own GCMX section, loadable (and evictable) on
-its own by the serving registry.
+block shares one value array ``V`` and one serialized container.
+Sharding is the next scaling axis: each shard is an *independent
+first-class matrix* — compressed on its own, serialized as its own GCMX
+section, loadable (and evictable) on its own by the serving registry.
 
-:func:`plan_shards` turns a dense matrix into a :class:`ShardPlan`:
+:func:`plan_shards` turns a dense matrix into a :class:`ShardPlan` of
+contiguous row ranges, sized by an explicit shard count (``n_shards``),
+a row target (``target_rows``), or a byte target (``target_bytes``,
+measured against the dense footprint of a shard).  A plan either names
+one format for every shard or leaves each shard's format open
+(``None``, the default); :func:`repro.shard.build_sharded` then builds
+an open shard with :func:`repro.core.blocked.compress_part`'s measured
+``auto`` choice (Section 4.2), the same one blocked ``auto`` makes per
+row block.
 
-- **row ranges** — sized by an explicit shard count (``n_shards``), a
-  row target (``target_rows``), or a byte target (``target_bytes``,
-  measured against the dense footprint of a shard);
-- **per-shard formats** — either one explicit format for every shard,
-  or (default) :func:`select_format`'s density profile: sparse slices
-  go to CSR, dense repetitive slices to the grammar encodings, dense
-  irregular slices to CSRV.
-
-The planner never touches the compressors — it is pure numpy over the
-row slices — so planning a large matrix is cheap enough to run before
-deciding whether to shard at all.
+The planner reads only the matrix's shape, so planning a large matrix
+costs nothing before deciding whether to shard at all.
 """
 
 from __future__ import annotations
@@ -31,31 +29,16 @@ import numpy as np
 from repro.core.repair import REPAIR_OPTIONS
 from repro.errors import MatrixFormatError
 
-#: Density below which a shard is handed to plain CSR (sparse enough
-#: that neither the value-code indirection nor RePair pays off).
-SPARSE_DENSITY = 0.20
-
-#: Maximum distinct-to-nonzero ratio for a shard to count as
-#: *repetitive* (worth a RePair pass).  The paper's matrices have very
-#: few distinct values per column block, which is exactly when the
-#: grammar representations win Table 1.
-REPETITIVE_DISTINCT_RATIO = 0.25
-
-#: Formats the profile selector chooses between.
-PROFILE_FORMATS = ("csr", "csrv", "re_ans")
-
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One planned shard: its row range, format, and profile stats."""
+    """One planned shard: its row range and format (``None``: open)."""
 
     index: int
     row_start: int
     row_stop: int
-    format: str
+    format: str | None
     build_opts: dict = field(default_factory=dict)
-    density: float = 0.0
-    distinct: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -82,7 +65,7 @@ class ShardPlan:
         )
 
     @property
-    def formats(self) -> tuple[str, ...]:
+    def formats(self) -> tuple[str | None, ...]:
         return tuple(s.format for s in self.shards)
 
     def describe(self) -> list[dict]:
@@ -93,39 +76,9 @@ class ShardPlan:
                 "rows": f"{s.row_start}:{s.row_stop}",
                 "n_rows": s.n_rows,
                 "format": s.format,
-                "density": round(s.density, 4),
-                "distinct": s.distinct,
             }
             for s in self.shards
         ]
-
-
-def profile_slice(block: np.ndarray) -> tuple[float, int]:
-    """``(density, n_distinct_nonzeros)`` of one dense row slice."""
-    block = np.asarray(block)
-    if block.size == 0:
-        return 0.0, 0
-    nonzeros = block[block != 0]
-    return nonzeros.size / block.size, int(np.unique(nonzeros).size)
-
-
-def select_format(block: np.ndarray) -> str:
-    """Pick a shard format from the slice's density profile.
-
-    - density below :data:`SPARSE_DENSITY` → ``csr`` (pure sparsity
-      machinery, no dictionary);
-    - repetitive (few distinct nonzeros relative to their count, see
-      :data:`REPETITIVE_DISTINCT_RATIO`) → ``re_ans`` (the grammar
-      pays for itself exactly when values and row patterns repeat);
-    - otherwise → ``csrv`` (dictionary-coded rows without RePair).
-    """
-    density, distinct = profile_slice(block)
-    nnz = max(1, round(density * np.asarray(block).size))
-    if density < SPARSE_DENSITY:
-        return "csr"
-    if distinct / nnz <= REPETITIVE_DISTINCT_RATIO:
-        return "re_ans"
-    return "csrv"
 
 
 def _row_boundaries(
@@ -188,46 +141,38 @@ def plan_shards(
         format undercuts.
     format:
         One registered format name applied to every shard, or ``None``
-        (default) for per-shard :func:`select_format` profiling.
+        (default) to leave each shard's format open for the builder's
+        measured choice.
     build_opts:
         Extra options forwarded to every shard's builder, except that
         RePair's options (:data:`repro.core.repair.REPAIR_OPTIONS`)
-        reach only the shards whose format runs RePair.
+        reach only the shards whose format runs RePair.  An open shard
+        may become a grammar, so it gets every option.
     """
-    dense = np.asarray(dense, dtype=np.float64)
+    dense = np.asarray(dense)
     if dense.ndim != 2 or min(dense.shape) < 1:
         raise MatrixFormatError(
             f"shard planning needs a 2-D matrix, got shape {dense.shape}"
         )
-    from repro import formats as _registry
-
+    opts = dict(build_opts or {})
     if format is not None:
+        from repro import formats as _registry
+
         if format not in _registry.available():
             raise MatrixFormatError(
                 f"unknown shard format {format!r}; registered formats: "
                 f"{', '.join(_registry.available())}"
             )
+        if not _registry.get(format).runs_repair:
+            opts = {k: v for k, v in opts.items() if k not in REPAIR_OPTIONS}
     n, m = dense.shape
-    opts = dict(build_opts or {})
-    plain_opts = {k: v for k, v in opts.items() if k not in REPAIR_OPTIONS}
-    shards = []
-    for i, (start, stop) in enumerate(
-        _row_boundaries(n, m, n_shards, target_rows, target_bytes)
-    ):
-        block = dense[start:stop]
-        density, distinct = profile_slice(block)
-        shard_format = format or select_format(block)
-        shards.append(
-            ShardSpec(
-                index=i,
-                row_start=start,
-                row_stop=stop,
-                format=shard_format,
-                build_opts=(
-                    opts if _registry.get(shard_format).runs_repair else plain_opts
-                ),
-                density=density,
-                distinct=distinct,
-            )
+    shards = tuple(
+        ShardSpec(
+            index=i, row_start=start, row_stop=stop, format=format,
+            build_opts=opts,
         )
-    return ShardPlan(shape=(n, m), shards=tuple(shards))
+        for i, (start, stop) in enumerate(
+            _row_boundaries(n, m, n_shards, target_rows, target_bytes)
+        )
+    )
+    return ShardPlan(shape=(n, m), shards=shards)

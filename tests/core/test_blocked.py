@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.blocked import BLOCK_FORMATS, BlockedMatrix
 from repro.core.csrv import CSRVMatrix
-from repro.core.gcm import GrammarCompressedMatrix
 from repro.errors import MatrixFormatError
 from repro.serve.executor import BlockExecutor
 
@@ -102,61 +101,6 @@ class TestMultiplication:
             bm.right_multiply(np.ones(2))
         with pytest.raises(MatrixFormatError):
             bm.left_multiply(np.ones(2))
-
-
-class TestPerBlockReordering:
-    def test_column_orders_applied_per_block(self, structured_matrix, rng):
-        m = structured_matrix.shape[1]
-        orders = [rng.permutation(m) for _ in range(3)]
-        bm = BlockedMatrix.compress(
-            structured_matrix, variant="re_32", n_blocks=3, column_orders=orders
-        )
-        assert np.array_equal(bm.to_dense(), structured_matrix)
-        x = rng.standard_normal(m)
-        assert np.allclose(bm.right_multiply(x), structured_matrix @ x)
-
-    def test_order_count_mismatch_rejected(self, structured_matrix):
-        with pytest.raises(MatrixFormatError):
-            BlockedMatrix.compress(
-                structured_matrix,
-                n_blocks=3,
-                column_orders=[np.arange(structured_matrix.shape[1])] * 2,
-            )
-
-    def test_reordered_blocks_share_global_values(self, structured_matrix, rng):
-        # Section 4.1: the value array V is global even when each block
-        # is reordered with its own permutation.  Per-block V arrays
-        # would shrink the code space and fake extra compression.
-        m = structured_matrix.shape[1]
-        orders = [rng.permutation(m) for _ in range(3)]
-        bm = BlockedMatrix.compress(
-            structured_matrix, variant="re_iv", n_blocks=3, column_orders=orders
-        )
-        global_v = CSRVMatrix.from_dense(structured_matrix).values
-        for block in bm.blocks:
-            assert np.array_equal(block.values, global_v)
-
-    def test_identity_orders_match_plain_blocked_size(self, structured_matrix):
-        # With identity permutations the reordered path must produce
-        # exactly the plain blocked compression (same S per block).
-        m = structured_matrix.shape[1]
-        orders = [np.arange(m)] * 4
-        reordered = BlockedMatrix.compress(
-            structured_matrix, variant="re_iv", n_blocks=4, column_orders=orders
-        )
-        plain = BlockedMatrix.compress(
-            structured_matrix, variant="re_iv", n_blocks=4
-        )
-        assert reordered.size_bytes() == plain.size_bytes()
-
-    def test_orders_require_dense_source(self, structured_matrix):
-        csrv = CSRVMatrix.from_dense(structured_matrix)
-        with pytest.raises(MatrixFormatError):
-            BlockedMatrix.compress(
-                csrv,
-                n_blocks=2,
-                column_orders=[np.arange(structured_matrix.shape[1])] * 2,
-            )
 
 
 class TestAccounting:

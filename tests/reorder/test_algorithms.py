@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reorder.matching import matching_order
+from repro.reorder.matching import matched_pairs, matching_order
 from repro.reorder.path_cover import path_cover_order, path_cover_plus_order
 from repro.reorder.similarity import column_similarity_matrix
 from repro.reorder.tsp import tour_gain, tsp_order
@@ -113,6 +113,51 @@ class TestMatching:
         csm[1, 2] = csm[2, 1] = 0.9
         order = matching_order(csm).tolist()
         assert order == [0, 1, 2]
+
+    def test_matched_weight_equals_brute_force(self, rng):
+        def best_weight(csm, i=0, used=0):
+            # The heaviest matching that gives columns i.. a successor.
+            if i == len(csm):
+                return 0.0
+            best = best_weight(csm, i + 1, used)
+            for j in range(i + 1, len(csm)):
+                if csm[i, j] > 0 and not used >> j & 1:
+                    best = max(
+                        best, csm[i, j] + best_weight(csm, i + 1, used | 1 << j)
+                    )
+            return best
+
+        for _ in range(200):
+            m = int(rng.integers(2, 7))
+            upper = np.triu(rng.random((m, m)) * (rng.random((m, m)) < 0.6), k=1)
+            csm = upper + upper.T
+            left, right = matched_pairs(csm)
+            assert np.all(left < right)
+            assert len(set(left)) == len(left) and len(set(right)) == len(right)
+            assert csm[left, right].sum() == pytest.approx(best_weight(csm))
+
+    def test_serving_imports_do_not_load_scipy_optimize(self):
+        # MWM imports scipy's assignment solver when it runs: at import
+        # time it would add tens of MB to every server process.
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        code = (
+            "import sys, repro, repro.cli, repro.serve.server; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestTsp:

@@ -99,6 +99,29 @@ class TestCompressWithReordering:
         for order in result.orders:
             assert sorted(order.tolist()) == list(range(matrix.shape[1]))
 
+    def test_reordered_blocks_share_global_values(self, rng):
+        # Section 4.1: the value array V is global even when each block
+        # is reordered with its own permutation.  Per-block V arrays
+        # would shrink the code space and fake extra compression.
+        matrix = _scattered_matrix(rng)
+        result = compress_with_reordering(
+            matrix, variant="re_iv", n_blocks=3, methods=("pathcover",)
+        )
+        global_v = CSRVMatrix.from_dense(matrix).values
+        for block in result.matrix.blocks:
+            assert np.array_equal(block.values, global_v)
+
+    def test_mwm_runs_without_networkx(self, rng, monkeypatch):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "networkx", None)  # import fails
+        matrix = _scattered_matrix(rng)
+        result = compress_with_reordering(
+            matrix, variant="re_ans", n_blocks=2, methods=("mwm",)
+        )
+        assert result.method == "mwm"
+        assert np.allclose(result.matrix.to_dense(), matrix)
+
     def test_custom_method_list(self, rng):
         matrix = _scattered_matrix(rng)
         result = compress_with_reordering(

@@ -8,7 +8,7 @@ from repro.serve.executor import BlockExecutor
 from repro.serve.registry import MatrixRegistry
 from repro.serve.residency import Residency
 from repro.shard import LazyShardedMatrix, build_sharded
-from tests.shard.test_plan import mixed_matrix
+from tests.shard.test_plan import mixed_matrix, mixed_sharded
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ def dense(rng):
 @pytest.fixture
 def container(dense, tmp_path):
     """A 3-shard mixed-format container file on disk."""
-    sm = build_sharded(dense, n_shards=3)
+    sm = mixed_sharded(dense)
     path = tmp_path / "m.gcmx"
     save_matrix(sm, path)
     return path, sm
@@ -659,14 +659,15 @@ class TestSharedScan:
         load = lazy._load_shard
 
         def load_with_slow_left(i):
+            # The pass kernels call each shard's ``_left`` hook.
             shard = load(i)
-            left = shard.left_multiply
+            left = shard._left
 
-            def slow_left(*args, **kwargs):
-                time.sleep(0.02)
-                return left(*args, **kwargs)
+            def slow_left(*args):
+                time.sleep(0.1)
+                return left(*args)
 
-            shard.left_multiply = slow_left
+            shard._left = slow_left
             return shard
 
         lazy._load_shard = load_with_slow_left
@@ -682,8 +683,11 @@ class TestSharedScan:
             barrier.wait()
             return y @ lazy
 
-        # Shard 0 loads slowly, so both passes meet there.
-        plan = FaultPlan().slow_load(f"{path}#shard0", seconds=0.1, times=1)
+        # Every load is slow, so both passes meet at the first shard and
+        # each next one has a load's length for the other to arrive in.
+        # A left visit outlasts a load, so a right pass that did not
+        # wait for it would load, use and evict the next shard alone.
+        plan = FaultPlan().slow_load(str(path), seconds=0.03)
         with fault_injection(plan):
             got_right, got_left = _run_threads([right, left])
         assert np.allclose(got_right, dense @ x)

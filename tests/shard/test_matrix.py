@@ -15,7 +15,7 @@ from repro.io.serialize import (
 )
 from repro.serve.executor import BlockExecutor
 from repro.shard import ShardedMatrix, build_sharded, plan_shards
-from tests.shard.test_plan import mixed_matrix
+from tests.shard.test_plan import mixed_matrix, mixed_sharded
 
 
 @pytest.fixture
@@ -25,10 +25,8 @@ def dense(rng):
 
 @pytest.fixture
 def sharded(dense):
-    """≥ 3 shards with mixed per-shard formats (csr / re_ans / csrv)."""
-    sm = build_sharded(dense, n_shards=3)
-    assert len(set(sm.shard_formats)) == 3
-    return sm
+    """3 shards with mixed per-shard formats (csr / re_ans / csrv)."""
+    return mixed_sharded(dense)
 
 
 class TestConstruction:
@@ -48,29 +46,39 @@ class TestConstruction:
         seq = build_sharded(dense, n_shards=3)
         with BlockExecutor(2) as executor:
             par = build_sharded(dense, n_shards=3, executor=executor)
-        thr = build_sharded(dense, n_shards=3, workers=2)
-        for built in (par, thr):
-            assert built.shard_formats == seq.shard_formats
-            assert built.size_bytes() == seq.size_bytes()
-            assert np.allclose(built.to_dense(), dense)
+        assert par.shard_formats == seq.shard_formats
+        assert par.size_bytes() == seq.size_bytes()
+        assert np.allclose(par.to_dense(), dense)
 
     def test_batch_strategy_with_non_grammar_shards(self, dense):
-        # The planner picks csr and csrv here, whose builders take no
-        # RePair options; only the re_ans shard gets strategy="batch".
-        batch = build_sharded(dense, n_shards=3, strategy="batch")
-        assert batch.shard_formats == ("csr", "re_ans", "csrv")
+        # csr's builder takes no RePair options, so strategy="batch"
+        # never reaches it.
+        batch = build_sharded(dense, n_shards=3, format="csr", strategy="batch")
+        assert batch.shard_formats == ("csr",) * 3
         assert np.array_equal(batch.to_dense(), dense)
 
     def test_batch_strategy_on_all_csrv_plan(self):
         from repro.datasets import get_dataset
 
         dense = np.asarray(get_dataset("susy", n_rows=2000).matrix)
-        batch = build_sharded(dense, n_shards=4, strategy="batch")
-        default = build_sharded(dense, n_shards=4)
+        batch = build_sharded(dense, n_shards=4, format="csrv", strategy="batch")
+        default = build_sharded(dense, n_shards=4, format="csrv")
         assert batch.shard_formats == default.shard_formats == ("csrv",) * 4
         for got, want in zip(batch.shards, default.shards, strict=True):
             assert np.array_equal(got.s, want.s)
             assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize(
+        "beside",
+        [{"strategy": "batch"}, {"n_shards": 4}, {"format": "csr"}],
+        ids=["strategy", "n_shards", "format"],
+    )
+    def test_plan_refuses_other_options(self, dense, beside):
+        # A plan fixes every shard's rows, format and build options; an
+        # option passed beside it would otherwise be dropped silently.
+        plan = plan_shards(dense, n_shards=2, format="re_ans")
+        with pytest.raises(MatrixFormatError, match="beside it"):
+            build_sharded(dense, plan=plan, **beside)
 
     def test_plan_shape_mismatch(self, dense):
         plan = plan_shards(dense[:-1], n_shards=2)

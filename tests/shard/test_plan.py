@@ -1,15 +1,12 @@
-"""Tests for the row-range shard planner and its density profiling."""
+"""Tests for the row-range shard planner and the default shard format."""
 
 import numpy as np
 import pytest
 
+from repro import formats
 from repro.errors import MatrixFormatError
-from repro.shard.plan import (
-    ShardPlan,
-    plan_shards,
-    profile_slice,
-    select_format,
-)
+from repro.shard import ShardedMatrix, build_sharded
+from repro.shard.plan import ShardPlan, plan_shards
 
 
 def mixed_matrix(rng, cols: int = 12) -> np.ndarray:
@@ -18,6 +15,18 @@ def mixed_matrix(rng, cols: int = 12) -> np.ndarray:
     repetitive = np.kron(np.ones((10, cols // 3)), np.full((4, 3), 2.5))
     irregular = rng.random((40, cols)).round(6) + 0.1
     return np.vstack([sparse, repetitive, irregular])
+
+
+def mixed_sharded(dense: np.ndarray) -> ShardedMatrix:
+    """:func:`mixed_matrix`'s three stripes as a ``csr``, an ``re_ans``
+    and a ``csrv`` shard: a container that mixes formats."""
+    shards = [
+        formats.compress(stripe, format=fmt)
+        for stripe, fmt in zip(
+            np.split(dense, 3), ("csr", "re_ans", "csrv"), strict=True
+        )
+    ]
+    return ShardedMatrix(shards, dense.shape)
 
 
 class TestBoundaries:
@@ -75,27 +84,29 @@ class TestBoundaries:
 
 
 class TestFormatSelection:
-    def test_profile_slice(self):
-        block = np.array([[0.0, 1.0], [2.0, 1.0]])
-        density, distinct = profile_slice(block)
-        assert density == 0.75
-        assert distinct == 2
+    def test_default_plan_leaves_formats_open(self, rng):
+        plan = plan_shards(
+            mixed_matrix(rng), n_shards=3, build_opts={"strategy": "batch"}
+        )
+        assert plan.formats == (None, None, None)
+        assert [s.build_opts for s in plan.shards] == [{"strategy": "batch"}] * 3
 
-    def test_sparse_goes_to_csr(self, rng):
-        block = (rng.random((30, 10)) < 0.05) * 1.0
-        assert select_format(block) == "csr"
-
-    def test_repetitive_goes_to_grammar(self):
-        block = np.kron(np.ones((8, 4)), np.full((3, 3), 2.5))
-        assert select_format(block) == "re_ans"
-
-    def test_irregular_dense_goes_to_csrv(self, rng):
-        block = rng.random((30, 10)).round(8) + 0.1
-        assert select_format(block) == "csrv"
-
-    def test_mixed_matrix_gets_mixed_formats(self, rng):
-        plan = plan_shards(mixed_matrix(rng), n_shards=3)
-        assert plan.formats == ("csr", "re_ans", "csrv")
+    @pytest.mark.parametrize(
+        "stripe", [0, 1, 2], ids=["sparse", "repetitive", "irregular"]
+    )
+    def test_default_shard_no_larger_than_any_format(self, rng, stripe):
+        # Each default shard keeps the smallest encoding after one RePair
+        # run with the caller's options, so no single format beats it on
+        # the same rows with the same options.
+        dense = mixed_matrix(rng)
+        rows = np.split(dense, 3)[stripe]
+        for strategy in ("exact", "batch"):
+            shard = build_sharded(dense, n_shards=3, strategy=strategy).shards[stripe]
+            assert np.array_equal(shard.to_dense(), rows)
+            for fmt in ("csr", "csrv", "re_32", "re_iv", "re_ans"):
+                opts = {"strategy": strategy} if fmt.startswith("re_") else {}
+                other = formats.compress(rows, format=fmt, **opts)
+                assert shard.size_bytes() <= other.size_bytes(), (strategy, fmt)
 
     def test_explicit_format_everywhere(self, rng):
         plan = plan_shards(mixed_matrix(rng), n_shards=3, format="csrv")
@@ -106,17 +117,21 @@ class TestFormatSelection:
             plan_shards(mixed_matrix(rng), format="bzip2")
 
     def test_repair_options_reach_only_repair_shards(self, rng):
-        plan = plan_shards(
-            mixed_matrix(rng),
-            n_shards=3,
-            build_opts={"strategy": "batch", "max_rules": 5, "n_blocks": 2},
-        )
-        assert plan.formats == ("csr", "re_ans", "csrv")
-        assert [s.build_opts for s in plan.shards] == [
-            {"n_blocks": 2},
-            {"strategy": "batch", "max_rules": 5, "n_blocks": 2},
-            {"n_blocks": 2},
-        ]
+        opts = {"strategy": "batch", "max_rules": 5, "n_blocks": 2}
+        build_opts = {
+            fmt: [
+                s.build_opts
+                for s in plan_shards(
+                    mixed_matrix(rng), n_shards=3, format=fmt, build_opts=opts
+                ).shards
+            ]
+            for fmt in ("csr", "re_ans", None)
+        }
+        assert build_opts == {
+            "csr": [{"n_blocks": 2}] * 3,
+            "re_ans": [opts] * 3,
+            None: [opts] * 3,  # an open shard may become a grammar
+        }
 
 
 class TestPlanObject:
@@ -124,9 +139,7 @@ class TestPlanObject:
         plan = plan_shards(mixed_matrix(rng), n_shards=3)
         rows = plan.describe()
         assert [d["shard"] for d in rows] == [0, 1, 2]
-        assert all(
-            {"rows", "format", "density", "distinct"} <= set(d) for d in rows
-        )
+        assert all({"rows", "n_rows", "format"} <= set(d) for d in rows)
 
     def test_plan_is_immutable(self, rng):
         plan = plan_shards(mixed_matrix(rng), n_shards=2)
