@@ -67,7 +67,7 @@ from statistics import median
 import numpy as np
 
 from repro.core.csrv import CSRVMatrix
-from repro.core.gcm import VARIANTS, GrammarCompressedMatrix, plan_cache
+from repro.core.gcm import VARIANTS, GrammarCompressedMatrix
 from repro.core.repair import repair_compress
 from repro.datasets import get_dataset
 
@@ -145,17 +145,16 @@ def bench_multiply(grammar, values, shape, warm_iters: int, cold_reps: int) -> d
             _time_once(lambda: matrix.right_multiply(x))[0]
             for _ in range(max(3, cold_reps))
         )
-        # cold: first served request — fresh instance, retention on,
-        # empty plan cache.  Instances share the storage arrays, so
-        # re-instantiating is cheap; the cache is cleared so the cold
-        # number includes a real decode + plan build.
+        # cold: first served request — fresh instance, retention on.
+        # Instances share the storage arrays, so re-instantiating is
+        # cheap, and a fresh instance has no engine, so the cold number
+        # includes a real decode + plan build.
         colds = []
         for _ in range(cold_reps):
             fresh = GrammarCompressedMatrix.from_grammar(
                 grammar, values, shape, variant
             )
             fresh.enable_plan_retention(True)
-            plan_cache().clear()
             colds.append(_time_once(lambda: fresh.right_multiply(x))[0])
         cold = median(colds)
         # warm: every later request on the retained plan.

@@ -20,10 +20,10 @@ from repro.errors import ReproError
 
 #: Every rule id the driver knows, in catalog order.
 ALL_RULES = (
-    "RA01", "RA02", "RA03", "RA04", "RA05", "RA06", "RA07", "RA08", "RA09",
+    "RA02", "RA03", "RA04", "RA05", "RA06", "RA07", "RA08", "RA09",
 )
 
-_REGISTRY_RULES = ("RA01", "RA02")
+_REGISTRY_RULES = ("RA02",)
 
 #: Directory names never descended into.
 _SKIP_DIRS = {
@@ -139,8 +139,8 @@ def load_source(path: Path) -> SourceFile:
 def _covers_repro_package(files: list[Path]) -> bool:
     """True when the scan includes the installed ``repro`` package.
 
-    The registry rules (RA01/RA02) introspect the live registry rather
-    than the scanned text, so they only make sense when the scan is
+    The registry rule (RA02) introspects the live registry rather
+    than the scanned text, so it only makes sense when the scan is
     actually about this package — not when linting fixture snippets in
     a test's tmp directory.
     """

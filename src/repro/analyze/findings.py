@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-#: Waiver tag each rule responds to (RA01/RA02 are registry-level facts
+#: Waiver tag each rule responds to (RA02 is a registry-level fact
 #: with nothing meaningful to waive at a source line).
 RULE_WAIVER_TAGS = {
     "RA03": "unlocked",

@@ -61,9 +61,9 @@ Commands
     optionally mmap-backed via ``serve --mmap``.
 ``analyze [PATHS...]``
     Run the project-specific static-analysis suite
-    (:mod:`repro.analyze` — capability flags, kind tags, lock
-    discipline, exception boundaries, kernel contracts, retry
-    discipline) against the committed baseline in
+    (:mod:`repro.analyze` — kind tags, lock discipline, exception
+    boundaries, kernel contracts, executor plumbing, retry discipline,
+    catalog SQL, counter discipline) against the committed baseline in
     ``analysis/baseline.json``.
 
 ``repro --version`` prints the package version

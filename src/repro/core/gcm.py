@@ -27,14 +27,13 @@ All variants store ``V`` as raw 8-byte doubles, as in the paper.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 
 import numpy as np
 
 from repro.core.csrv import CSRVMatrix
 from repro.core.grammar import Grammar
-from repro.core.multiply import MvmEngine, MvmPlan, PlanCache, retained_nbytes
+from repro.core.multiply import MvmEngine, retained_nbytes
 from repro.core.repair import repair_compress
 from repro.encoders.int_vector import IntVector, bits_required
 from repro.encoders.rans import ans_compress, ans_decompress
@@ -43,16 +42,6 @@ from repro.formats.base import MatrixFormat
 
 #: The physical encodings implemented (paper Section 4).
 VARIANTS = ("re_32", "re_iv", "re_ans")
-
-#: Process-wide plan cache shared by every plan-retaining instance:
-#: structurally identical grammars (the same matrix re-registered, or
-#: evicted and reloaded by the serving registry) share one plan build.
-_PLAN_CACHE = PlanCache(max_plans=64)
-
-
-def plan_cache() -> PlanCache:
-    """The shared :class:`repro.core.multiply.PlanCache` instance."""
-    return _PLAN_CACHE
 
 
 class GrammarCompressedMatrix(MatrixFormat):
@@ -105,7 +94,6 @@ class GrammarCompressedMatrix(MatrixFormat):
         self._engine: MvmEngine | None = None
         self._engine_lock = threading.Lock()
         self._retain_plan = variant == "re_32"
-        self._fingerprint: str | None = None
 
     # -- construction -------------------------------------------------------------
 
@@ -255,56 +243,14 @@ class GrammarCompressedMatrix(MatrixFormat):
 
     # -- plan retention ----------------------------------------------------------------
 
-    def grammar_fingerprint(self) -> str:
-        """Content hash of the stored grammar, computed *without decoding*.
-
-        Hashes the physical ``C``/``R`` storage bytes plus the variant,
-        ``nt_base`` and shape, so the serving path can key the shared
-        :class:`~repro.core.multiply.PlanCache` before paying any
-        decode.  Identical storage implies an identical logical grammar
-        and column count, hence an identical plan; the converse does
-        not hold across *variants* (the same grammar in ``re_iv`` and
-        ``re_ans`` hashes differently), which only costs a duplicate
-        cache entry, never a wrong plan.
-        """
-        if self._fingerprint is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(self._variant.encode())
-            h.update(int(self._nt_base).to_bytes(8, "little"))
-            h.update(int(self._shape[1]).to_bytes(8, "little"))
-            # The logical lengths are part of the key: bit-packed words
-            # are zero-padded, so e.g. trailing separator symbols
-            # (code 0) of a longer C can pack to the same word bytes as
-            # a shorter C — identical words do NOT imply identical
-            # grammars unless the element counts (and pack width)
-            # match too.
-            h.update(int(self._c_length).to_bytes(8, "little"))
-            h.update(int(self._n_rules).to_bytes(8, "little"))
-            if self._variant == "re_32":
-                h.update(self._c_storage.tobytes())
-                h.update(b"|")
-                h.update(self._r_storage.tobytes())
-            elif self._variant == "re_iv":
-                h.update(bytes([self._c_storage.width, self._r_storage.width]))
-                h.update(self._c_storage.words.tobytes())
-                h.update(b"|")
-                h.update(self._r_storage.words.tobytes())
-            else:  # re_ans
-                h.update(bytes([self._r_storage.width]))
-                h.update(self._c_storage)
-                h.update(b"|")
-                h.update(self._r_storage.words.tobytes())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
-
     def enable_plan_retention(self, retain: bool = True) -> bool:
         """Opt this block into (or out of) multiplication-plan retention.
 
         With retention on, the block builds its
-        :class:`~repro.core.multiply.MvmPlan` once — through the shared
-        fingerprint-keyed :func:`plan_cache`, so a reloaded copy of the
-        same matrix skips even the first build — and every subsequent
-        multiplication runs without storage decode or plan build.  With
+        :class:`~repro.core.multiply.MvmEngine` once and keeps it, and
+        every subsequent multiplication runs without storage decode or
+        plan build; an evicted block rebuilds it on its next
+        multiplication (:meth:`release_retained_plans`).  With
         retention off, every multiplication decodes and plans afresh,
         charging the decode cost per multiplication exactly as the paper
         describes.  ``re_32`` starts retained; ``re_iv``/``re_ans``
@@ -323,17 +269,14 @@ class GrammarCompressedMatrix(MatrixFormat):
         return self._retain_plan
 
     def release_retained_plans(self) -> None:
-        """Drop the cached engine and this grammar's shared-cache plan.
+        """Drop the retained engine.
 
-        The serving registry calls this on eviction; the shared
-        :func:`plan_cache` entry is discarded so evicted matrices do
-        not keep plans alive outside the residency budget.  Retention
-        stays enabled — the next multiplication rebuilds (and
-        re-caches) the plan.
+        The serving registry calls this on eviction, so an evicted
+        matrix keeps no plan alive outside the residency budget.
+        Retention stays enabled — the next multiplication rebuilds the
+        engine.
         """
         self._engine = None
-        if self._retain_plan:
-            _PLAN_CACHE.discard(self.grammar_fingerprint())
 
     # -- multiplication ----------------------------------------------------------------
 
@@ -344,14 +287,10 @@ class GrammarCompressedMatrix(MatrixFormat):
         fresh plan — the paper's per-multiplication cost structure.
         With :meth:`enable_plan_retention` on (the served
         configuration, and ``re_32``'s default), the engine is built
-        once, from the shared cache's plan when a structurally
-        identical grammar was already planned, and kept.  The build
-        runs once under concurrency too: requests that ask while it is
-        in progress wait on a per-instance lock and reuse its storage
-        decode and plan (two overlapping passes over a lazily served
-        shard share one build).  The cached plan holds value ids only,
-        so matrices with one grammar and different ``V`` share it
-        safely.
+        once and kept.  The build runs once under concurrency too:
+        requests that ask while it is in progress wait on a
+        per-instance lock and reuse its storage decode and plan (two
+        overlapping passes over a lazily served shard share one build).
         """
         if not self._retain_plan:
             return MvmEngine.from_grammar(
@@ -362,16 +301,9 @@ class GrammarCompressedMatrix(MatrixFormat):
             with self._engine_lock:
                 engine = self._engine
                 if engine is None:
-                    key = self.grammar_fingerprint()
-                    plan = _PLAN_CACHE.get(key)
-                    if plan is None:
-                        plan = _PLAN_CACHE.put(
-                            key,
-                            MvmPlan.from_grammar(
-                                self.decode_grammar(), self._shape[1]
-                            ),
-                        )
-                    engine = self._engine = MvmEngine(plan, self._values)
+                    engine = self._engine = MvmEngine.from_grammar(
+                        self.decode_grammar(), self._shape[1], self._values
+                    )
         return engine
 
     def _right(self, x: np.ndarray, out, executor) -> np.ndarray:

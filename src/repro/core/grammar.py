@@ -97,10 +97,7 @@ class Grammar:
         Two grammars share a fingerprint iff ``nt_base``, ``rules`` and
         ``final`` are equal — used to pin reference output (the
         hot-path bench records the exact strategy's fingerprint so
-        seed drift is detectable).  The serving plan cache is keyed by
-        the *storage-level*
-        :meth:`repro.core.gcm.GrammarCompressedMatrix.grammar_fingerprint`
-        instead, which never needs a decode.
+        seed drift is detectable).
         """
         h = hashlib.blake2b(digest_size=16)
         h.update(int(self.nt_base).to_bytes(8, "little"))

@@ -46,16 +46,14 @@ per-entry weights once and runs the chain.  Building a plan costs
 multiplication — how the ``re_iv``/``re_ans`` variants account for
 their decode overhead by default (see :mod:`repro.core.gcm`) — but
 pure waste on a serving path that multiplies the same matrix thousands
-of times.  Served matrices therefore opt into *plan retention*: plans
-are cached in a :class:`PlanCache` keyed by a grammar fingerprint, so
-repeated multiplications skip both the storage decode and the plan
-build (see ``BENCH_hotpaths.json`` for the cold/warm gap this buys).
+of times.  Served matrices therefore opt into *plan retention*: a
+matrix builds its engine once and keeps it, so repeated
+multiplications skip both the storage decode and the plan build (see
+``BENCH_hotpaths.json`` for the cold/warm gap this buys).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import pairwise
@@ -97,12 +95,10 @@ class MvmPlan:
 
     A plan is derived purely from ``(grammar, n_cols)`` and holds no
     reference to the grammar arrays or to ``V``, so it can outlive the
-    decode that produced it and be shared by every matrix with the same
-    grammar: a served ``re_iv``/``re_ans`` block that retains its plan
-    skips both the storage decode and the plan build on every
-    multiplication after the first (see
-    :meth:`repro.core.gcm.GrammarCompressedMatrix.enable_plan_retention`
-    and :class:`PlanCache`).
+    decode that produced it: a served ``re_iv``/``re_ans`` block that
+    retains its engine skips both the storage decode and the plan build
+    on every multiplication after the first (see
+    :meth:`repro.core.gcm.GrammarCompressedMatrix.enable_plan_retention`).
     """
 
     n_cols: int
@@ -167,7 +163,7 @@ class MvmPlan:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held live by the plan's arrays (cache accounting)."""
+        """Bytes held live by the plan's arrays."""
         return int(
             self.levels.nbytes
             + self.indptr.nbytes
@@ -176,98 +172,13 @@ class MvmPlan:
         )
 
 
-class PlanCache:
-    """A thread-safe, bounded, fingerprint-keyed cache of :class:`MvmPlan`.
-
-    Keys are grammar fingerprints (see
-    :meth:`repro.core.grammar.Grammar.fingerprint` and the storage-level
-    :meth:`repro.core.gcm.GrammarCompressedMatrix.grammar_fingerprint`),
-    so structurally identical grammars — the same matrix re-registered,
-    or one matrix evicted and reloaded by the serving registry — share
-    one plan build.  Plans hold value ids, not values, so matrices that
-    share a grammar but not ``V`` share a plan safely.  Eviction is LRU
-    by insertion/access order, bounded by entry count; byte usage is
-    reported for the serving registry's residency accounting.
-    """
-
-    def __init__(self, max_plans: int = 64) -> None:
-        if max_plans < 1:
-            raise MatrixFormatError(f"max_plans must be >= 1, got {max_plans}")
-        self._max_plans = int(max_plans)
-        self._lock = threading.Lock()
-        self._plans: OrderedDict[str, MvmPlan] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: str) -> MvmPlan | None:
-        """Return the cached plan for ``key`` (marking it recently used)."""
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self.misses += 1
-                return None
-            self._plans.move_to_end(key)
-            self.hits += 1
-            return plan
-
-    def put(self, key: str, plan: MvmPlan) -> MvmPlan:
-        """Insert ``plan`` under ``key``, evicting LRU entries over bound."""
-        with self._lock:
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            while len(self._plans) > self._max_plans:
-                self._plans.popitem(last=False)
-            return plan
-
-    def discard(self, key: str) -> bool:
-        """Drop the plan cached under ``key`` (``False`` if absent).
-
-        The serving registry calls this when it evicts a matrix, so a
-        rotating working set cannot accumulate up to ``max_plans``
-        orphaned plans beyond its byte budget.  Engines already built
-        from the plan keep working — they hold their own reference.
-        """
-        with self._lock:
-            return self._plans.pop(key, None) is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._plans
-
-    def nbytes(self) -> int:
-        """Summed :attr:`MvmPlan.nbytes` of all cached plans."""
-        with self._lock:
-            return sum(p.nbytes for p in self._plans.values())
-
-    def clear(self) -> None:
-        """Drop every cached plan (counters are kept)."""
-        with self._lock:
-            self._plans.clear()
-
-    def stats(self) -> dict[str, int]:
-        """Counters for introspection/serving stats."""
-        with self._lock:
-            return {
-                "plans": len(self._plans),
-                "bytes": sum(p.nbytes for p in self._plans.values()),
-                "hits": self.hits,
-                "misses": self.misses,
-                "max_plans": self._max_plans,
-            }
-
-
 class MvmEngine:
     """A plan bound to one value array: the executable multiplication.
 
     Parameters
     ----------
     plan:
-        The :class:`MvmPlan` to execute (typically shared through a
-        :class:`PlanCache`).
+        The :class:`MvmPlan` to execute.
     values:
         The distinct-value array ``V`` of the matrix; bound once into
         per-entry weights.

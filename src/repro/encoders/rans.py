@@ -172,18 +172,33 @@ def normalize_frequencies(counts: np.ndarray, scale_bits: int) -> np.ndarray:
     total = int(counts.sum())
     freqs = np.maximum(1, (counts * target) // total).astype(np.int64)
     error = target - int(freqs.sum())
-    # Distribute the residual one unit per symbol per pass over the
-    # symbols in decreasing count order, never driving a frequency
-    # below 1; the last pass stops part-way down that order.
+    # The residual goes one unit per symbol per pass over the symbols
+    # in decreasing count order, never driving a frequency below 1; the
+    # last pass stops part-way down that order.  Both directions are
+    # applied in closed form: the full passes at once, then the partial
+    # one.
     order = np.argsort(-counts, kind="stable")
-    while error > 0:
-        take = order[: min(error, order.size)]
-        freqs[take] += 1
-        error -= take.size
-    while error < 0:
-        take = order[freqs[order] > 1][:-error]
+    if error > 0:
+        passes, rest = divmod(error, counts.size)
+        freqs += passes
+        freqs[order[:rest]] += 1
+    elif error < 0:
+        # After p full passes symbol i has given min(p, f_i - 1) units.
+        # With the spare units f - 1 sorted, that total is
+        # prefix[k] + p * (n - k) for p between the k-th and (k+1)-th
+        # smallest, so the last such breakpoint within the residual
+        # fixes the largest p that fits.
+        need = -error
+        spare = np.sort(freqs - 1)
+        n = spare.size
+        prefix = np.concatenate([[0], np.cumsum(spare)])
+        at_breakpoint = prefix + np.concatenate([[0], spare]) * np.arange(n, -1, -1)
+        k = int(np.searchsorted(at_breakpoint, need, side="right")) - 1
+        passes = int(spare[-1]) if k == n else (need - int(prefix[k])) // (n - k)
+        given = np.minimum(freqs - 1, passes)
+        freqs -= given
+        take = order[freqs[order] > 1][: need - int(given.sum())]
         freqs[take] -= 1
-        error += take.size
     return freqs
 
 

@@ -114,7 +114,7 @@ class MatrixFormat:
         return False
 
     def release_retained_plans(self) -> None:
-        """Free any multiplication plans this instance keeps (or shares).
+        """Free any multiplication plans this instance keeps.
 
         Called by the serving registry when it evicts a matrix, so
         retained plans do not outlive the residency budget that charged

@@ -1,9 +1,9 @@
 """The format registry: one :class:`FormatSpec` per representation.
 
 Every matrix representation registers a spec describing how to *build*
-it from a dense array, how to *serialize* it, and which execution
-capabilities its kernels have.  Consumers then dispatch by name or by
-instance instead of hard-coding type checks:
+it from a dense array, how to *serialize* it, and what its builder and
+decoder support.  Consumers then dispatch by name or by instance
+instead of hard-coding type checks:
 
 - :func:`repro.formats.compress` builds any format by name;
 - :mod:`repro.io.serialize` maps kind tags ↔ payload codecs;
@@ -46,10 +46,6 @@ class FormatSpec:
         ``blocked`` spec) have no tag.
     description:
         One line for listings.
-    supports_plan_cache:
-        ``enable_plan_retention`` changes execution: the format can keep
-        a reusable multiplication plan resident instead of rebuilding
-        per call (the grammar variants and their blocked containers).
     runs_repair:
         The builder runs RePair (a sharded build: on the shards whose
         format does) and takes RePair's options
@@ -77,7 +73,6 @@ class FormatSpec:
     build: Callable[..., Any]
     kind: int | None = None
     description: str = ""
-    supports_plan_cache: bool = False
     runs_repair: bool = False
     supports_mmap: bool = False
     encode: Callable[[Any], bytes] | None = None

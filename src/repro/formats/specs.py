@@ -103,7 +103,6 @@ for _variant in VARIANTS:
             kind=io.KIND_GCM,
             description=f"grammar-compressed (C, R, V), {_variant} encoding "
             "(Section 4)",
-            supports_plan_cache=True,
             runs_repair=True,
             supports_mmap=True,
             encode=io.gcm_payload,
@@ -119,7 +118,6 @@ register(
         build=_blocked_builder("re_32"),
         kind=io.KIND_BLOCKED,
         description="row-block partitioned, per-block compressed (Section 4.1)",
-        supports_plan_cache=True,
         runs_repair=True,
         supports_mmap=True,
         encode=io.blocked_payload,
@@ -138,7 +136,6 @@ register(
         kind=None,
         description="blocked with per-block smallest-format selection "
         "(Section 4.2)",
-        supports_plan_cache=True,
         runs_repair=True,
     )
 )
@@ -166,7 +163,6 @@ register(
         kind=io.KIND_SHARDED,
         description="row-sharded container, per-shard smallest format "
         "(Section 4.2), scatter-gather MVM",
-        supports_plan_cache=True,
         runs_repair=True,
         supports_mmap=True,
         encode=io.sharded_payload,

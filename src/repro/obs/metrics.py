@@ -9,16 +9,14 @@ workers, and the watchdog can hit the same child concurrently.
 
 Two usage modes coexist:
 
-- **direct instruments** — every counter but the plan cache's: the
-  code path where the event happens increments a child it holds
-  (``self._c_hits.inc()``), and ``/stats`` reads the same child back,
-  so a count never drops when the object that caused it goes.
+- **direct instruments** — every counter: the code path where the
+  event happens increments a child it holds (``self._c_hits.inc()``),
+  and ``/stats`` reads the same child back, so a count never drops
+  when the object that caused it goes.
 - **collectors** — callables registered with
   :meth:`MetricsRegistry.register_collector` that run at scrape time
-  and push values into collector-fed instruments (:meth:`Gauge.set`,
-  :meth:`Counter.set_total`).  Used for gauges over live objects
-  (resident bytes, quarantined entries) and for the counters of the
-  process-wide plan cache, which no registry owns.
+  and :meth:`Gauge.set` gauges over live objects (resident bytes,
+  quarantined entries).  Collectors feed gauges only.
 
 Components built without a registry (a standalone
 :class:`~repro.serve.jobs.JobManager`, :class:`~repro.serve.stats.ServeStats`
@@ -75,17 +73,6 @@ class Counter:
             raise ReproError(f"counter increments must be >= 0, got {amount}")
         with self._lock:
             self._value += amount
-
-    def set_total(self, value: float) -> None:
-        """Overwrite the running total (collector-fed counters only).
-
-        A collector copies a total kept elsewhere (the plan cache's
-        hits and misses) at scrape time.  The result is monotonic only
-        if that source never shrinks, so never sum over live objects
-        that can go away: count at the seam instead.
-        """
-        with self._lock:
-            self._value = float(value)
 
     @property
     def value(self) -> float:
@@ -242,9 +229,6 @@ class Family:
 
     def set(self, value: float) -> None:
         self._direct().set(value)
-
-    def set_total(self, value: float) -> None:
-        self._direct().set_total(value)
 
     def observe(self, value: float) -> None:
         self._direct().observe(value)

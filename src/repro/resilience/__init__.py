@@ -1,6 +1,6 @@
 """Fault tolerance for the serving stack: integrity, policies, fault injection.
 
-The throughput layers (sharding, plan caches, async jobs) assume every
+The throughput layers (sharding, retained plans, async jobs) assume every
 byte on disk is intact, every load finishes, and every worker thread
 survives its job.  This package is where those assumptions become
 *checked* properties:

@@ -22,7 +22,7 @@ The budget charge is :func:`resident_estimate` — ``size_bytes()``
 :meth:`~repro.formats.MatrixFormat.resident_overhead_bytes` (a CSRV
 block caches its decoded views and the scipy CSR its kernels run on;
 a grammar variant charges its retained
-:class:`~repro.core.multiply.MvmPlan` and bound weights — ``re_32``
+:class:`~repro.core.multiply.MvmEngine`, plan and bound weights — ``re_32``
 always, since it retains by default, ``re_iv``/``re_ans`` when the
 registry's plan retention is on), so the budget tracks what the
 process actually keeps live, not just the compressed payload.
@@ -162,8 +162,7 @@ class MatrixRegistry:
             self.register_store(store)
 
     def _collect_metrics(self) -> None:
-        """Scrape-time collector: residency gauges, and the counters of
-        the process-wide plan cache, which no registry owns."""
+        """Scrape-time collector: the residency gauges."""
         stats = self.stats()
         m = self.metrics
         m.gauge(
@@ -188,21 +187,6 @@ class MatrixRegistry:
             "repro_registry_degraded",
             "Entries with recent failures or open shard breakers.",
         ).set(stats["degraded"])
-        from repro.core.gcm import plan_cache
-
-        plans = plan_cache().stats()
-        m.counter(
-            "repro_plan_cache_hits_total", "MVM plan cache hits."
-        ).set_total(plans["hits"])
-        m.counter(
-            "repro_plan_cache_misses_total", "MVM plan cache misses."
-        ).set_total(plans["misses"])
-        m.gauge(
-            "repro_plan_cache_plans", "MVM plans currently cached."
-        ).set(plans["plans"])
-        m.gauge(
-            "repro_plan_cache_bytes", "Bytes held by cached MVM plans."
-        ).set(plans["bytes"])
 
     # -- registration ------------------------------------------------------------
 

@@ -346,9 +346,8 @@ class Residency:
         if key[1] is None and isinstance(value, Hashable):
             # Units are keyed by their owner: only a hashable one has any.
             self._retired.add(value)
-        # The budget charged the unit's retained plans, so they must
-        # not outlive it in the shared plan cache; a lazy matrix
-        # discards its shards here.
+        # The budget charged the unit's retained plans, so they go
+        # with it; a lazy matrix discards its shards here.
         release = getattr(value, "release_retained_plans", None)
         if release is not None:
             release()

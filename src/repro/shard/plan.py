@@ -142,7 +142,8 @@ def plan_shards(
     format:
         One registered format name applied to every shard, or ``None``
         (default) to leave each shard's format open for the builder's
-        measured choice.
+        measured choice.  ``"auto"`` is that choice, so it leaves the
+        format open too.
     build_opts:
         Extra options forwarded to every shard's builder, except that
         RePair's options (:data:`repro.core.repair.REPAIR_OPTIONS`)
@@ -155,6 +156,8 @@ def plan_shards(
             f"shard planning needs a 2-D matrix, got shape {dense.shape}"
         )
     opts = dict(build_opts or {})
+    if format == "auto":
+        format = None
     if format is not None:
         from repro import formats as _registry
 

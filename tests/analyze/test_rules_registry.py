@@ -1,18 +1,12 @@
-"""RA01/RA02 — capability flags and kind tags, on synthetic and live specs.
+"""RA02 — kind tags, on synthetic and live specs.
 
-The capability probe grounds truth in the class object itself (MRO
-for overrides), and findings point at the class's source, so the
-fixture classes here are real module-level classes ``inspect`` can
-read.
+Findings point at the class's source, so the fixture classes here are
+real module-level classes ``inspect`` can read.
 """
 
 import inspect
 
-from repro.analyze.rules_registry import (
-    check_capabilities,
-    check_kind_tags,
-    run_registry_rules,
-)
+from repro.analyze.rules_registry import check_kind_tags, run_registry_rules
 from repro.formats.base import MatrixFormat
 from repro.formats.registry import FormatSpec
 
@@ -26,7 +20,7 @@ class PlainFormat(MatrixFormat):
 
 
 class CachingFormat(MatrixFormat):
-    """Overrides the plan-retention hook (supports_plan_cache=True)."""
+    """Overrides the plan-retention hook."""
 
     @property
     def shape(self):
@@ -35,19 +29,6 @@ class CachingFormat(MatrixFormat):
     def enable_plan_retention(self, retain: bool = True) -> bool:
         self._retained = bool(retain)
         return self._retained
-
-
-class ThreadedFormat(MatrixFormat):
-    """Reads ``executor`` in its own kernels."""
-
-    @property
-    def shape(self):
-        return (1, 1)
-
-    def _right_vector(self, x, executor):
-        if executor is not None:
-            return executor.right_multiply(self, x)
-        return x
 
 
 def _spec(name, cls, **flags):
@@ -64,32 +45,6 @@ def _dec(data, pos):
 
 def _peek(data, pos):
     return {}
-
-
-class TestCapabilities:
-    def test_consistent_specs_clean(self):
-        specs = {
-            "plain": _spec("plain", PlainFormat),
-            "caching": _spec("caching", CachingFormat, supports_plan_cache=True),
-            "threaded": _spec("threaded", ThreadedFormat),
-        }
-        assert check_capabilities(specs) == []
-
-    def test_over_claim_flagged(self):
-        # The ISSUE's mis-flagged-spec fixture: claims a plan cache the
-        # class does not implement.
-        specs = {"plain": _spec("plain", PlainFormat, supports_plan_cache=True)}
-        findings = check_capabilities(specs)
-        assert len(findings) == 1
-        assert findings[0].rule == "RA01"
-        assert findings[0].detail == "supports_plan_cache"
-        assert "no supporting implementation" in findings[0].message
-
-    def test_under_claim_flagged(self):
-        specs = {"caching": _spec("caching", CachingFormat)}
-        findings = check_capabilities(specs)
-        assert [f.detail for f in findings] == ["supports_plan_cache"]
-        assert "under-claim" in findings[0].message
 
 
 class TestKindTags:
@@ -145,15 +100,15 @@ class TestLiveRegistry:
     def test_live_registry_is_consistent(self):
         # The real registry must stay clean — this is the in-suite half
         # of the `repro analyze` gate.
-        assert run_registry_rules({"RA01", "RA02"}) == []
+        assert run_registry_rules({"RA02"}) == []
 
     def test_finding_location_points_at_class(self):
-        specs = {"plain": _spec("plain", PlainFormat, supports_plan_cache=True)}
-        findings = check_capabilities(specs)
+        specs = {"plain": _spec("plain", PlainFormat, kind=7, encode=_enc)}
+        findings = check_kind_tags(specs)
         assert findings and findings[0].path.endswith("test_rules_registry.py")
 
 
 def test_fixture_classes_are_introspectable():
     # Finding locations rely on inspect reading these classes.
-    for cls in (PlainFormat, CachingFormat, ThreadedFormat):
+    for cls in (PlainFormat, CachingFormat):
         assert "class" in inspect.getsource(cls)

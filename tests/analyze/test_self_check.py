@@ -43,6 +43,5 @@ class TestSelfCheck:
         report = run_analysis(["src"])
         assert report.files_scanned > 50
         assert report.rules == (
-            "RA01", "RA02", "RA03", "RA04", "RA05", "RA06", "RA07", "RA08",
-            "RA09",
+            "RA02", "RA03", "RA04", "RA05", "RA06", "RA07", "RA08", "RA09",
         )

@@ -1,12 +1,15 @@
-"""MvmPlan extraction, the fingerprint-keyed PlanCache, and retention."""
+"""MvmPlan extraction, grammar fingerprints, and per-matrix plan retention."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import repro
 from repro.core.csrv import CSRVMatrix
-from repro.core.gcm import GrammarCompressedMatrix, plan_cache
-from repro.core.multiply import MvmEngine, MvmPlan, PlanCache
+from repro.core.gcm import VARIANTS, GrammarCompressedMatrix
+from repro.core.multiply import MvmEngine, MvmPlan
 from repro.core.repair import repair_compress
 from repro.errors import MatrixFormatError
 from tests.conftest import make_structured
@@ -20,6 +23,20 @@ def dense():
 @pytest.fixture
 def grammar(dense):
     return repair_compress(CSRVMatrix.from_dense(dense).s)
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Every ``MvmPlan.from_grammar`` call the test makes, in order."""
+    builds = []
+    original = MvmPlan.from_grammar
+
+    def counted(grammar, n_cols):
+        builds.append(n_cols)
+        return original(grammar, n_cols)
+
+    monkeypatch.setattr(MvmPlan, "from_grammar", counted)
+    return builds
 
 
 class TestMvmPlan:
@@ -46,30 +63,6 @@ class TestMvmPlan:
             MvmEngine(plan, np.ones(plan.n_values - 1))
 
 
-class TestPlanCache:
-    def test_get_put_and_counters(self, grammar, dense):
-        cache = PlanCache(max_plans=4)
-        plan = MvmPlan.from_grammar(grammar, dense.shape[1])
-        assert cache.get("k") is None
-        cache.put("k", plan)
-        assert cache.get("k") is plan
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-        assert cache.nbytes() == plan.nbytes
-
-    def test_lru_bound(self, grammar, dense):
-        cache = PlanCache(max_plans=2)
-        plan = MvmPlan.from_grammar(grammar, dense.shape[1])
-        for key in ("a", "b", "c"):
-            cache.put(key, plan)
-        assert len(cache) == 2
-        assert "a" not in cache and "c" in cache
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(MatrixFormatError):
-            PlanCache(max_plans=0)
-
-
 class TestGrammarFingerprint:
     def test_equal_grammars_share_fingerprint(self, dense):
         s = CSRVMatrix.from_dense(dense).s
@@ -90,28 +83,17 @@ class TestGrammarFingerprint:
     def test_trailing_zero_rows_change_storage_fingerprint(self):
         """Regression: bit-packed words are zero-padded, so a matrix
         plus an extra all-zero row can produce byte-identical re_iv
-        words (the trailing separator symbols pack to zero bits).  The
-        logical lengths must disambiguate, or the plan cache would
-        serve a wrong-shaped plan."""
+        words (the trailing separator symbols pack to zero bits).  Each
+        retaining matrix must still plan its own rows."""
         a = np.array([[1.5, 2.5, 0.0, 1.5], [2.5, 1.5, 1.5, 0.0], [1.5, 2.5, 0.0, 1.5]])
         b = np.vstack([a, np.zeros((1, 4))])
         ma = repro.compress(a, format="re_iv")
         mb = repro.compress(b, format="re_iv")
-        assert ma.grammar_fingerprint() != mb.grammar_fingerprint()
         for m in (ma, mb):
             m.enable_plan_retention(True)
         x = np.arange(4, dtype=np.float64)
         np.testing.assert_allclose(ma.right_multiply(x), a @ x)
         np.testing.assert_allclose(mb.right_multiply(x), b @ x)
-
-    def test_storage_fingerprint_stable_without_decode(self, dense):
-        a = repro.compress(dense, format="re_iv")
-        b = repro.compress(dense, format="re_iv")
-        assert a.grammar_fingerprint() == b.grammar_fingerprint()
-        # Different variant -> different storage bytes -> different key
-        # (documented: costs a duplicate entry, never a wrong plan).
-        c = repro.compress(dense, format="re_ans")
-        assert c.grammar_fingerprint() != a.grammar_fingerprint()
 
 
 class TestPlanRetention:
@@ -140,16 +122,28 @@ class TestPlanRetention:
         assert m.enable_plan_retention(True)
         assert m._get_engine() is m._get_engine()
 
-    def test_identical_matrices_share_one_plan_build(self, dense):
+    def test_identical_matrices_share_one_plan_build(self, dense, plan_builds):
+        """Two retaining matrices with one grammar each build their own
+        plan, once."""
         a = repro.compress(dense, format="re_iv")
         b = repro.compress(dense, format="re_iv")
         for m in (a, b):
             m.enable_plan_retention(True)
-        a._get_engine()
-        hits = plan_cache().hits
-        b._get_engine()
-        assert plan_cache().hits == hits + 1
-        assert a._get_engine().plan is b._get_engine().plan
+        x = np.ones(dense.shape[1])
+        for m in (a, b, a, b):
+            np.testing.assert_allclose(m.right_multiply(x), dense @ x)
+        assert len(plan_builds) == 2
+        assert a._get_engine().plan is not b._get_engine().plan
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_plan_lives_as_long_as_its_matrix(self, dense, variant):
+        m = repro.compress(dense, format=variant)
+        m.enable_plan_retention(True)
+        m.right_multiply(np.ones(dense.shape[1]))
+        plan = weakref.ref(m._get_engine().plan)
+        del m
+        gc.collect()
+        assert plan() is None
 
     @pytest.mark.parametrize("variant", ["re_iv", "re_ans"])
     def test_overhead_charged_only_when_retained(self, dense, variant):
@@ -185,18 +179,20 @@ class TestPlanRetention:
         assert m.enable_plan_retention() is False
         m.release_retained_plans()  # base no-op
 
-    def test_release_drops_shared_cache_entry(self, dense):
+    def test_release_drops_shared_cache_entry(self, dense, plan_builds):
+        """``release_retained_plans`` drops the engine; retention stays
+        on, so the next multiply builds it again, once."""
         m = repro.compress(dense, format="re_iv")
         m.enable_plan_retention(True)
-        m._get_engine()
-        key = m.grammar_fingerprint()
-        assert key in plan_cache()
+        engine = m._get_engine()
         m.release_retained_plans()
-        assert key not in plan_cache()
-        # Still retained: the next multiply rebuilds and re-caches.
+        assert m._engine is None
+        assert m.plan_retained
         x = np.ones(dense.shape[1])
-        np.testing.assert_allclose(m.right_multiply(x), dense @ x)
-        assert key in plan_cache()
+        for _ in range(2):
+            np.testing.assert_allclose(m.right_multiply(x), dense @ x)
+        assert len(plan_builds) == 2  # once before the release, once after
+        assert m._get_engine() is not engine
 
 
 class TestCompressStrategyPlumbing:

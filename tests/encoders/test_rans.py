@@ -64,6 +64,15 @@ class TestNormalizeFrequencies:
         scale_bits = max(8, int(sigma).bit_length())
         expected = _normalize_one_unit_at_a_time(counts, scale_bits)
         assert np.array_equal(normalize_frequencies(counts, scale_bits), expected)
+        # Census-shaped: mostly ones and a few large counts, so raising
+        # the ones to frequency 1 overshoots, and the residual is taken
+        # back over many passes.
+        census = np.ones(3393, dtype=np.int64)
+        large = rng.choice(census.size, size=235, replace=False)
+        census[large] = rng.integers(20, 200, size=large.size)
+        assert np.maximum(1, census * 4096 // census.sum()).sum() > 4096
+        expected = _normalize_one_unit_at_a_time(census, 12)
+        assert np.array_equal(normalize_frequencies(census, 12), expected)
 
 
 def _normalize_one_unit_at_a_time(counts, scale_bits):

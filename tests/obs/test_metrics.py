@@ -28,12 +28,6 @@ class TestCounter:
         with pytest.raises(ReproError, match=">= 0"):
             Counter().inc(-1)
 
-    def test_set_total_overwrites(self):
-        c = Counter()
-        c.inc(5)
-        c.set_total(42)
-        assert c.value == 42
-
     def test_concurrent_increments_do_not_lose_counts(self):
         c = Counter()
         barrier = threading.Barrier(8)
@@ -105,8 +99,7 @@ class TestFamily:
         reg = MetricsRegistry()
         c = reg.counter("loads_total", "loads")
         c.inc(3)
-        c.set_total(7)
-        assert c.value == 7
+        assert c.value == 3
         g = reg.gauge("resident", "resident")
         g.set(4)
         assert g.value == 4

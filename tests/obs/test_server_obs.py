@@ -69,7 +69,6 @@ class TestMetricsEndpoint:
             "repro_shard_loads_total",
             "repro_job_events_total",
             "repro_breaker_opens_total",
-            "repro_plan_cache_hits_total",
             "repro_http_responses_total",
             "repro_build_info",
         ):

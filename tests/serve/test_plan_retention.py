@@ -12,7 +12,7 @@ from tests.conftest import make_structured
 
 @pytest.fixture
 def iv_store(tmp_path, rng):
-    """One re_iv matrix (plan-cacheable, zero overhead when not retained)."""
+    """One re_iv matrix (plan-retaining, zero overhead when not retained)."""
     dense = make_structured(rng, n=60, m=10)
     save_matrix(
         GrammarCompressedMatrix.compress(dense, variant="re_iv"),
@@ -87,10 +87,8 @@ class TestRegistryPlanRetention:
         assert registry.stats()["evictions"] == 1
 
     def test_eviction_releases_plan_from_shared_cache(self, tmp_path, rng):
-        """Evicted matrices must not leave plans in the shared cache —
-        the budget charged them, so eviction frees them."""
-        from repro.core.gcm import plan_cache
-
+        """An evicted matrix drops its engine — the budget charged it,
+        so eviction frees it."""
         dense = make_structured(rng, n=60, m=10)
         save_matrix(
             GrammarCompressedMatrix.compress(dense, variant="re_iv"),
@@ -98,17 +96,15 @@ class TestRegistryPlanRetention:
         )
         registry = MatrixRegistry(root=tmp_path)
         matrix = registry.get("solo")
-        matrix.right_multiply(np.ones(dense.shape[1]))  # builds + caches
-        key = matrix.grammar_fingerprint()
-        assert key in plan_cache()
+        matrix.right_multiply(np.ones(dense.shape[1]))  # builds the engine
+        assert matrix._engine is not None
         assert registry.evict("solo")
-        assert key not in plan_cache()
+        assert matrix._engine is None
+        assert registry.resident_bytes == 0
 
     def test_reregistration_releases_retained_plans(self, tmp_path, rng):
         """Re-registering a resident name drops its matrix, and with it
-        the plans the budget charged: none stays in the shared cache."""
-        from repro.core.gcm import plan_cache
-
+        the engine the budget charged."""
         dense = make_structured(rng, n=60, m=10)
         save_matrix(
             GrammarCompressedMatrix.compress(dense, variant="re_iv"),
@@ -122,12 +118,10 @@ class TestRegistryPlanRetention:
         )
         registry = MatrixRegistry(root=tmp_path)
         matrix = registry.get("solo")
-        plan_cache().discard(matrix.grammar_fingerprint())
-        start = plan_cache().stats()["plans"]
-        matrix.right_multiply(np.ones(dense.shape[1]))  # builds + caches
-        assert plan_cache().stats()["plans"] == start + 1
+        matrix.right_multiply(np.ones(dense.shape[1]))  # builds the engine
+        assert matrix._engine is not None
         registry.register("solo", replacement)
-        assert plan_cache().stats()["plans"] == start
+        assert matrix._engine is None
         assert registry.resident_bytes == 0
 
     def test_blocked_store_retains_per_block(self, tmp_path, rng):
@@ -145,11 +139,8 @@ class TestRegistryPlanRetention:
 
 class TestSharedGrammarDistinctValues:
     def test_a_and_2a_share_a_plan_but_not_values(self, tmp_path, rng):
-        """A and 2A have one grammar (same storage bytes, same
-        fingerprint) and different V: the cached plan must not carry
-        either matrix's values."""
-        from repro.core.gcm import plan_cache
-
+        """A and 2A have one grammar and different V: each answers
+        with its own values."""
         dense = make_structured(rng, n=60, m=10)
         for name, scale in (("a", 1.0), ("twice_a", 2.0)):
             save_matrix(
@@ -158,13 +149,9 @@ class TestSharedGrammarDistinctValues:
             )
         registry = MatrixRegistry(root=tmp_path)
         a, twice_a = registry.get("a"), registry.get("twice_a")
-        assert a.grammar_fingerprint() == twice_a.grammar_fingerprint()
         x = rng.standard_normal(dense.shape[1])
         Y = rng.standard_normal((dense.shape[0], 3))
         np.testing.assert_allclose(a.right_multiply(x), dense @ x)
-        hits = plan_cache().hits
         np.testing.assert_allclose(twice_a.right_multiply(x), 2.0 * dense @ x)
-        assert plan_cache().hits == hits + 1
         np.testing.assert_allclose(a.left_multiply_matrix(Y), dense.T @ Y)
         np.testing.assert_allclose(twice_a.left_multiply_matrix(Y), 2.0 * dense.T @ Y)
-        assert a._get_engine().plan is twice_a._get_engine().plan

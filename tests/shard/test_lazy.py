@@ -719,14 +719,12 @@ class TestSharedScan:
         import time
 
         import repro
-        from repro.core.gcm import plan_cache
         from repro.core.multiply import MvmPlan
 
         matrix = repro.compress(
             mixed_matrix(rng), format="re_ans", strategy="batch"
         )
         matrix.enable_plan_retention(True)
-        plan_cache().discard(matrix.grammar_fingerprint())
         builds = []
         original = MvmPlan.from_grammar
 
@@ -737,10 +735,7 @@ class TestSharedScan:
 
         monkeypatch.setattr(MvmPlan, "from_grammar", slow_build)
         x = rng.standard_normal(matrix.shape[1])
-        try:
-            results = _run_threads([lambda: matrix @ x, lambda: matrix @ x])
-        finally:
-            plan_cache().discard(matrix.grammar_fingerprint())
+        results = _run_threads([lambda: matrix @ x, lambda: matrix @ x])
         assert len(builds) == 1
         assert np.array_equal(results[0], results[1])
 

@@ -91,6 +91,18 @@ class TestFormatSelection:
         assert plan.formats == (None, None, None)
         assert [s.build_opts for s in plan.shards] == [{"strategy": "batch"}] * 3
 
+    def test_auto_format_is_the_open_format(self, rng):
+        # "auto" names the measured choice an open shard makes; it does
+        # not wrap each shard in a one-block blocked container.
+        from repro.core.blocked import BlockedMatrix
+        from repro.io.serialize import saves_matrix
+
+        dense = mixed_matrix(rng)
+        assert plan_shards(dense, n_shards=3, format="auto").formats == (None,) * 3
+        auto = build_sharded(dense, n_shards=3, format="auto")
+        assert not any(isinstance(s, BlockedMatrix) for s in auto.shards)
+        assert saves_matrix(auto) == saves_matrix(build_sharded(dense, n_shards=3))
+
     @pytest.mark.parametrize(
         "stripe", [0, 1, 2], ids=["sparse", "repetitive", "irregular"]
     )
